@@ -43,8 +43,10 @@ def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     """One application of the clearing map to a wealth vector.
 
     Solvent banks (``V_i >= 0``) keep full assets; defaulting banks keep
-    ``alpha_x`` of external and ``alpha_L`` of interbank assets.  Payments
-    feeding the inflow term are ``p_bar - max(-V, 0)``.
+    ``alpha_x`` of external and ``alpha_L`` of interbank assets.  Interbank
+    assets are the payments ``p_bar - max(-V, 0)`` received plus the held
+    shares ``Gamma^T max(V, 0)`` of other banks' equity, as in
+    ``_system_matrix``.
     """
     x = np.asarray(x, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -52,7 +54,7 @@ def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     default = V < 0.0
     ax = np.where(default, net.alpha_x, 1.0)
     aL = np.where(default, net.alpha_L, 1.0)
-    return ax * x + aL * (net.Pi.T @ pay) - net.p_bar
+    return ax * x + aL * (net.Pi.T @ pay + net.Gamma.T @ np.maximum(V, 0.0)) - net.p_bar
 
 
 def _system_matrix(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.special import ndtri
 
 from .clearing import (
     ZERO_TOL,
@@ -175,6 +173,8 @@ def _substream_uniforms(seed: int, tag: int, n_paths: int, dims: int, path_offse
 
 
 def _normals(seed, tag, n_paths, dims, path_offset):
+    from scipy.special import ndtri
+
     return ndtri(_substream_uniforms(seed, tag, n_paths, dims, path_offset))
 
 
@@ -226,6 +226,10 @@ def simulate(spec: dict, n_paths: int, seed: int, path_offset: int = 0) -> Scena
             raise OracleError("mu, sigma, corr shapes are inconsistent")
         if np.any(sigma <= 0.0):
             raise OracleError("sigma entries must be positive")
+        # scipy's factor, not numpy's: for some matrices from n = 8 on they
+        # differ in the last bit, which would change the draws
+        from scipy.linalg import cholesky
+
         try:
             chol = cholesky(corr, lower=True)
         except np.linalg.LinAlgError as exc:

@@ -65,6 +65,34 @@ def test_psi_star_fixed_point(cycle_half, two_bank):
         assert np.allclose(psi_star(net, x, res.V), res.V, atol=1e-10)
 
 
+def test_psi_star_counts_cross_holdings():
+    net = build_network(
+        [[0.0, 7.0, 3.0], [3.0, 0.0, 3.0]], 1.0, 1.0, Gamma=[[0.0, 0.2], [0.3, 0.0]]
+    )
+    x = np.array([3.0, 4.0])
+    V = greatest_clearing(net, x).V
+    # without the Gamma^T E term the residual is (-0.835, 0)
+    assert np.max(np.abs(psi_star(net, x, V) - V)) < 1e-14
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha_x=st.sampled_from([1.0, 0.7, 0.3]),
+    alpha_L=st.sampled_from([1.0, 0.5, 0.0]),
+)
+@settings(max_examples=40)
+def test_psi_star_fixed_point_cross_holdings_partial_recovery(seed, alpha_x, alpha_L):
+    rng = np.random.default_rng(seed)
+    L = random_net(rng).L
+    n = L.shape[0]
+    Gamma = rng.uniform(0.0, 0.9 / n, (n, n))
+    np.fill_diagonal(Gamma, 0.0)
+    net = build_network(L, alpha_x, alpha_L, Gamma=Gamma)
+    x = rng.uniform(0.0, 3.0, n)
+    V = greatest_clearing(net, x).V
+    assert np.max(np.abs(psi_star(net, x, V) - V)) < 1e-12
+
+
 def test_psi_star_monotone_in_V(cycle_half):
     rng = np.random.default_rng(3)
     x = np.array([0.5, 1.5])

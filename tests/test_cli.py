@@ -96,6 +96,30 @@ def test_clear_example(cycle_csv):
     assert len(soc) == 1
 
 
+PRINT_SCIPY_MODULES = (
+    "import sys\n"
+    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+)
+
+
+def test_import_loads_no_scipy():
+    code = "import netval, netval.cli\n" + PRINT_SCIPY_MODULES
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_clear_loads_no_scipy(two_bank_csv):
+    code = (
+        "from netval.cli import main\n"
+        f"argv = ['clear', {two_bank_csv!r}, '--x', '3,4', '--output', {os.devnull!r}]\n"
+        "assert main(argv) == 0\n" + PRINT_SCIPY_MODULES
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_q_star(two_bank_csv, bench_model):
     proc = run_cli("q-star", two_bank_csv, bench_model, check=True)
     rows = parse_csv(proc.stdout)

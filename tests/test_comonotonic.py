@@ -58,6 +58,21 @@ def test_pe_truncated_lognormal_closed_form():
     assert abs(pe - 0.5) < 1e-12
 
 
+def test_norm_cdf_matches_scipy_erfc():
+    from scipy.special import erfc
+
+    x = np.linspace(-38.0, 38.0, 200_001)
+    ref = 0.5 * erfc(-x / math.sqrt(2.0))
+    got = norm_cdf(x)
+    assert got.shape == x.shape
+    assert all(norm_cdf(v) == g for v, g in zip(x[::5000], got[::5000]))
+    # below the smallest normal float (x < -37.5) only absolute agreement
+    # is meaningful; scipy already rounds Phi(-38) ~ 2.9e-316 to zero
+    normal = ref >= np.finfo(float).tiny
+    assert np.all(np.abs(got - ref)[normal] <= 1e-13 * ref[normal])
+    assert np.all(np.abs(got - ref)[~normal] <= np.finfo(float).tiny)
+
+
 def test_pe_rejects_reversed_interval():
     with pytest.raises(ModelError):
         partial_expectation(LogNormal(0.0, 1.0), AffineMap(0.0, 1.0), 2.0, 1.0)

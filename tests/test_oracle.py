@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,63 @@ def test_chunked_equals_unchunked(spec_fn):
     full = simulate(spec, 1000, 42).X
     parts = [simulate(spec, 250, 42, path_offset=250 * k).X for k in range(4)]
     assert np.array_equal(np.vstack(parts), full)
+
+
+CAPM_P_SPEC = {
+    "kind": "capm",
+    "measure": "P",
+    "params": CapmParams(
+        r=0.02, T=1.0, sigma_M=0.8, beta=[0.5, 0.75], gamma=[0.4, 0.3], s=[3.0, 4.0],
+        mu_M=0.07,
+    ),
+}
+
+# eight banks: from n = 8 on, numpy's and scipy's Cholesky factors of this
+# matrix differ in the last bit, so the hash also pins the factorization
+COPULA8_SPEC = {
+    "kind": "gaussian-copula-lognormal",
+    "mu": [0.0, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.0],
+    "sigma": [0.5] * 8,
+    "corr": [
+        [1.0, -0.22, 0.08, -0.39, 0.64, 0.54, -0.14, 0.13],
+        [-0.22, 1.0, 0.16, 0.31, -0.17, -0.47, -0.2, -0.11],
+        [0.08, 0.16, 1.0, -0.18, 0.06, 0.1, -0.09, -0.71],
+        [-0.39, 0.31, -0.18, 1.0, -0.32, -0.63, 0.61, 0.04],
+        [0.64, -0.17, 0.06, -0.32, 1.0, 0.71, -0.06, 0.14],
+        [0.54, -0.47, 0.1, -0.63, 0.71, 1.0, -0.18, 0.02],
+        [-0.14, -0.2, -0.09, 0.61, -0.06, -0.18, 1.0, -0.13],
+        [0.13, -0.11, -0.71, 0.04, 0.14, 0.02, -0.13, 1.0],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "spec, first_row, digest",
+    [
+        (
+            CAPM_SPEC,
+            [1.9922751896135802, 0.7813455694536062],
+            "2679d794f3c24b301c1fde2a8b6138cac0bbdbcd93dca15e9a6223b8743bce17",
+        ),
+        (
+            CAPM_P_SPEC,
+            [2.042709876156477, 0.8112023440734644],
+            "c49db38391e49d9ae06dc08d306300d7eb166b4edff6984f5adf855cbc3282a8",
+        ),
+        (
+            COPULA8_SPEC,
+            [3.145499103123026, 0.8718533944887854, 1.2517254669587257,
+             0.6370306100698169, 2.022242656495699, 2.962596152130064,
+             0.40694580295504446, 1.303566817923456],
+            "d26109b21c721718e693967410286ab0532585bb80632538f7f5ef5e89b0e851",
+        ),
+    ],
+    ids=["capm-Q", "capm-P", "copula-8"],
+)
+def test_draws_pinned(spec, first_row, digest):
+    X = simulate(spec, 1000, 2024, path_offset=5).X
+    assert X[0].tolist() == first_row
+    assert hashlib.sha256(X.tobytes()).hexdigest() == digest
 
 
 def test_capm_discounted_mean_is_martingale():
