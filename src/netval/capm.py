@@ -224,14 +224,16 @@ def _require_full_recovery(net: FinancialNetwork, force: bool):
         )
 
 
-def debt_price_bound(
+def price_and_cap(
     net: FinancialNetwork, params: CapmParams, which: str, force: bool = False
-) -> np.ndarray:
-    """Discounted per-unit debt price bound, in [0, e^{-rT}] per bank.
+):
+    """Per-unit debt price bound and market cap per bank, from one sweep.
 
-    Multiply by p_bar to get currency prices.  ``which='lower'`` is the
-    comonotonic bound (z = sigma), ``which='upper'`` the conditional one
-    (z = beta sigma_M).
+    The price is discounted and normalized by face value, in
+    ``[0, e^{-rT}]``; multiply by ``p_bar`` for currency prices.  The cap
+    is the discounted expected equity in currency units.  ``which='lower'``
+    is the comonotonic bound (z = sigma), ``which='upper'`` the
+    conditional one (z = beta sigma_M).
     """
     _require_full_recovery(net, force)
     z = params.z_vector(which)
@@ -239,22 +241,22 @@ def debt_price_bound(
     blocks, pos = _ladder_blocks(net, params, th, z)
     disc = math.exp(-params.r * params.T)
     cum = np.vstack([np.zeros(net.n), np.cumsum(blocks, axis=0)])
-    total = cum[-1]
-    idx = np.arange(net.n)
-    tail = total - cum[pos, idx]
-    return disc + tail / net.p_bar
+    cap = cum[pos, np.arange(net.n)]
+    return disc + (cum[-1] - cap) / net.p_bar, cap
+
+
+def debt_price_bound(
+    net: FinancialNetwork, params: CapmParams, which: str, force: bool = False
+) -> np.ndarray:
+    """Discounted per-unit debt price bound; the price of ``price_and_cap``."""
+    return price_and_cap(net, params, which, force)[0]
 
 
 def market_cap(
     net: FinancialNetwork, params: CapmParams, which: str, force: bool = False
 ) -> np.ndarray:
-    """Discounted expected equity per bank (currency units)."""
-    _require_full_recovery(net, force)
-    z = params.z_vector(which)
-    th = capm_thresholds(net, params, which)
-    blocks, pos = _ladder_blocks(net, params, th, z)
-    cum = np.vstack([np.zeros(net.n), np.cumsum(blocks, axis=0)])
-    return cum[pos, np.arange(net.n)]
+    """Discounted expected equity per bank; the cap of ``price_and_cap``."""
+    return price_and_cap(net, params, which, force)[1]
 
 
 def effective_rate(price: float, p_bar_i: float, T: float) -> float:

@@ -26,7 +26,7 @@ class ClearingResult:
 
     ``V`` are wealths, ``p = p_bar - max(-V, 0)`` the payments,
     ``E = max(V, 0)`` the equities, ``z`` the default indicator
-    (1 where ``V < 0``), ``iterations`` the number of default-set
+    (1 where ``V < -ZERO_TOL``), ``iterations`` the number of default-set
     guesses evaluated, and ``societal_payment`` the total flow to
     the societal node.
     """
@@ -42,16 +42,16 @@ class ClearingResult:
 def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     """One application of the clearing map to a wealth vector.
 
-    Solvent banks (``V_i >= 0``) keep full assets; defaulting banks keep
-    ``alpha_x`` of external and ``alpha_L`` of interbank assets.  Interbank
-    assets are the payments ``p_bar - max(-V, 0)`` received plus the held
-    shares ``Gamma^T max(V, 0)`` of other banks' equity, as in
-    ``_system_matrix``.
+    Solvent banks (``V_i >= -ZERO_TOL``, the band ``greatest_clearing``
+    uses) keep full assets; defaulting banks keep ``alpha_x`` of external
+    and ``alpha_L`` of interbank assets.  Interbank assets are the payments
+    ``p_bar - max(-V, 0)`` received plus the held shares
+    ``Gamma^T max(V, 0)`` of other banks' equity, as in ``_system_matrix``.
     """
     x = np.asarray(x, dtype=float)
     V = np.asarray(V, dtype=float)
     pay = net.p_bar - np.maximum(-V, 0.0)
-    default = V < 0.0
+    default = V < -ZERO_TOL
     ax = np.where(default, net.alpha_x, 1.0)
     aL = np.where(default, net.alpha_L, 1.0)
     return ax * x + aL * (net.Pi.T @ pay + net.Gamma.T @ np.maximum(V, 0.0)) - net.p_bar
@@ -92,66 +92,18 @@ def delta_vector(net: FinancialNetwork, z) -> np.ndarray:
         ) from exc
 
 
-def _result_from_wealths(net, V, iterations) -> ClearingResult:
-    p = np.clip(net.p_bar - np.maximum(-V, 0.0), 0.0, net.p_bar)
-    E = np.maximum(V, 0.0)
-    z = (V < -ZERO_TOL).astype(int)
-    return ClearingResult(
-        V=V,
-        p=p,
-        E=E,
-        z=z,
-        iterations=iterations,
-        societal_payment=float(net.pi_soc @ p),
-    )
+def _clear(net: FinancialNetwork, X: np.ndarray):
+    """Fictitious default over endowment rows; ``(V, p, E, Z, rounds)``.
 
-
-def greatest_clearing(net: FinancialNetwork, x) -> ClearingResult:
-    """Greatest clearing wealths via the fictitious default algorithm.
-
-    Starts from the no-default wealths, marks every bank with negative
-    wealth as defaulting, re-solves the affine system, and stops once the
-    default set is stable.  The set only grows, so at most ``n + 1``
-    default-set guesses are evaluated.
+    Every row starts from the no-default wealths and adds each bank with
+    ``V < -ZERO_TOL`` to its default set until no set changes.  Sets only
+    grow, so there are at most ``n + 1`` rounds; ``rounds`` counts the
+    affine solves the slowest row went through.  Rows are grouped by their
+    current default pattern each round so the linear system is factored
+    once per distinct pattern, not once per row.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.n,):
-        raise ValueError(f"endowments must have shape ({net.n},), got {x.shape}")
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+    if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
-
-    z = np.zeros(net.n, dtype=bool)
-    V = delta_matrix(net, z) @ x - delta_vector(net, z)
-    iterations = 1
-    for _ in range(net.n + 1):
-        z_new = z | (V < -ZERO_TOL)
-        if np.array_equal(z_new, z):
-            break
-        z = z_new
-        V = delta_matrix(net, z) @ x - delta_vector(net, z)
-        iterations += 1
-    return _result_from_wealths(net, V, iterations)
-
-
-def greatest_clearing_batch(net: FinancialNetwork, X):
-    """Vectorized greatest clearing over many endowment rows.
-
-    Parameters
-    ----------
-    X : ndarray, shape (m, n)
-        One endowment vector per row.
-
-    Returns
-    -------
-    (V, p, E, Z) : ndarrays of shape (m, n)
-        ``Z`` is the integer default indicator per row.
-
-    Rows are grouped by their current default pattern each round so the
-    linear system is factored once per distinct pattern, not once per row.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.n:
-        raise ValueError(f"endowment batch must have shape (m, {net.n})")
     m = X.shape[0]
 
     cache = {}
@@ -165,6 +117,7 @@ def greatest_clearing_batch(net: FinancialNetwork, X):
     Z = np.zeros((m, net.n), dtype=bool)
     D0, d0 = affine(Z[0].tobytes())
     V = X @ D0.T - d0
+    rounds = 1
 
     for _ in range(net.n + 1):
         Z_new = Z | (V < -ZERO_TOL)
@@ -172,6 +125,7 @@ def greatest_clearing_batch(net: FinancialNetwork, X):
         if not changed.any():
             break
         Z = Z_new
+        rounds += 1
         idx = np.flatnonzero(changed)
         patterns, inverse = np.unique(Z[idx], axis=0, return_inverse=True)
         for k in range(patterns.shape[0]):
@@ -181,4 +135,47 @@ def greatest_clearing_batch(net: FinancialNetwork, X):
 
     p = np.clip(net.p_bar[None, :] - np.maximum(-V, 0.0), 0.0, net.p_bar[None, :])
     E = np.maximum(V, 0.0)
-    return V, p, E, Z.astype(int)
+    return V, p, E, Z.astype(int), rounds
+
+
+def greatest_clearing(net: FinancialNetwork, x) -> ClearingResult:
+    """Greatest clearing wealths via the fictitious default algorithm.
+
+    Starts from the no-default wealths, marks every bank with negative
+    wealth as defaulting, re-solves the affine system, and stops once the
+    default set is stable.  The set only grows, so at most ``n + 1``
+    default-set guesses are evaluated.  This is the batch kernel on one row.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (net.n,):
+        raise ValueError(f"endowments must have shape ({net.n},), got {x.shape}")
+    V, p, E, _, rounds = _clear(net, x[None, :])
+    # z is read off the final wealths: under cross-holdings the kernel's
+    # default set can keep a bank whose wealth came back nonnegative
+    return ClearingResult(
+        V=V[0],
+        p=p[0],
+        E=E[0],
+        z=(V[0] < -ZERO_TOL).astype(int),
+        iterations=rounds,
+        societal_payment=float(net.pi_soc @ p[0]),
+    )
+
+
+def greatest_clearing_batch(net: FinancialNetwork, X):
+    """Vectorized greatest clearing over many endowment rows.
+
+    Parameters
+    ----------
+    X : ndarray, shape (m, n)
+        One endowment vector per row; entries must be nonnegative and finite.
+
+    Returns
+    -------
+    (V, p, E, Z) : ndarrays of shape (m, n)
+        ``Z`` is the integer default indicator per row.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != net.n:
+        raise ValueError(f"endowment batch must have shape (m, {net.n})")
+    return _clear(net, X)[:4]

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,10 +44,9 @@ from .calibration import (
 from .capm import (
     CapmParams,
     PricingError,
-    debt_price_bound,
     effective_rate,
-    market_cap,
     merton_baseline,
+    price_and_cap,
 )
 from .clearing import greatest_clearing
 from .comonotonic import (
@@ -272,6 +272,8 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
 def _cmd_clear(args) -> None:
     net = read_network_csv(args.network)
     x = _parse_floats(args.x, "--x")
+    if x.shape != (net.n,) or np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        raise SchemaError(f"--x: expected {net.n} nonnegative finite endowments, got {args.x!r}")
     res = greatest_clearing(net, x)
     cols = ("bank", "V", "p", "E", "z")
     rows = [
@@ -335,23 +337,26 @@ def _cmd_bounds(args) -> None:
     _emit(args, "bounds", cols, rows)
 
 
-def _price_rows(net, params, which, force, guarantee):
-    price = debt_price_bound(net, params, which, force=force)
-    cap = market_cap(net, params, which, force=force)
-    rows = []
-    for i in range(net.n):
-        rate = effective_rate(float(price[i] * net.p_bar[i]), float(net.p_bar[i]), params.T)
-        rows.append(
-            {
-                "bank": str(i + 1),
-                "which": which,
-                "price": price[i],
-                "rate": rate,
-                "market_cap": cap[i],
-                "guarantee": guarantee,
-            }
-        )
-    return rows
+def _price_side(net, params, which, force):
+    """Price, effective rate and market cap per bank for one bound."""
+    price, cap = price_and_cap(net, params, which, force=force)
+    pay = zip(price * net.p_bar, net.p_bar)
+    rate = np.array([effective_rate(float(c), float(pb), params.T) for c, pb in pay])
+    return price, rate, cap
+
+
+def _bank_rows(which, price, rate, cap, guarantee):
+    return [
+        {
+            "bank": str(i + 1),
+            "which": which,
+            "price": price[i],
+            "rate": rate[i],
+            "market_cap": cap[i],
+            "guarantee": guarantee,
+        }
+        for i in range(price.size)
+    ]
 
 
 def _cmd_price(args) -> None:
@@ -361,56 +366,14 @@ def _cmd_price(args) -> None:
     sides = ("lower", "upper") if args.which == "both" else (args.which,)
     rows = []
     for which in sides:
-        rows += _price_rows(net, params, which, args.force, guarantee)
+        rows += _bank_rows(which, *_price_side(net, params, which, args.force), guarantee)
     if args.baseline != "none":
-        mode = args.baseline + "_interbank"
-        base = merton_baseline(net, params, mode)
-        for i in range(net.n):
-            rows.append(
-                {
-                    "bank": str(i + 1),
-                    "which": f"baseline_{args.baseline}",
-                    "price": base.price[i],
-                    "rate": base.rate[i],
-                    "market_cap": base.market_cap[i],
-                    "guarantee": "baseline",
-                }
-            )
+        base = merton_baseline(net, params, args.baseline + "_interbank")
+        rows += _bank_rows(
+            f"baseline_{args.baseline}", base.price, base.rate, base.market_cap, "baseline"
+        )
     cols = ("bank", "which", "price", "rate", "market_cap", "guarantee")
     _emit(args, "price", cols, rows)
-
-
-def _sweep_metrics(net, params, force):
-    out = {}
-    for which in ("lower", "upper"):
-        price = debt_price_bound(net, params, which, force=force)
-        cap = market_cap(net, params, which, force=force)
-        rate = np.array(
-            [
-                effective_rate(float(price[i] * net.p_bar[i]), float(net.p_bar[i]), params.T)
-                for i in range(net.n)
-            ]
-        )
-        out[f"price_{which}"] = price
-        out[f"rate_{which}"] = rate
-        out[f"cap_{which}"] = cap
-    return out
-
-
-def _capm_replace(params, **kw) -> CapmParams:
-    base = dict(
-        r=params.r,
-        T=params.T,
-        sigma_M=params.sigma_M,
-        beta=params.beta,
-        gamma=params.gamma,
-        s=params.s,
-        sigma=None,
-        q0=params.q0,
-        mu_M=params.mu_M,
-    )
-    base.update(kw)
-    return CapmParams(**base)
 
 
 def _cmd_statics(args) -> None:
@@ -418,8 +381,6 @@ def _cmd_statics(args) -> None:
     params = _capm_from_json(_load_json(args.params))
     grid = _parse_floats(args.grid, "--grid")
     rows = []
-    metrics = ("price_lower", "price_upper", "rate_lower", "rate_upper", "cap_lower", "cap_upper")
-
     for g in grid:
         g = float(g)
         if args.sweep == "beta":
@@ -430,11 +391,11 @@ def _cmd_statics(args) -> None:
                     "total volatility cannot be held fixed"
                 )
             gamma = np.sqrt(np.maximum(idio2, 0.0))
-            p2, n2 = _capm_replace(params, beta=np.full(net.n, g), gamma=gamma), net
+            p2, n2 = replace(params, sigma=None, beta=np.full(net.n, g), gamma=gamma), net
         elif args.sweep == "T":
             if g <= 0.0:
                 raise PricingError("T grid values must be positive")
-            p2, n2 = _capm_replace(params, T=g), net
+            p2, n2 = replace(params, sigma=None, T=g), net
         elif args.sweep == "alpha":
             if not 0.0 <= g <= 1.0:
                 raise PricingError("alpha grid values must lie in [0, 1]")
@@ -445,21 +406,21 @@ def _cmd_statics(args) -> None:
             d[args.bank - 1] = g
             if args.route == "assets":
                 s2 = ratio_via_assets(net, d, q0=params.q0)
-                p2, n2 = _capm_replace(params, s=s2), net
+                p2, n2 = replace(params, sigma=None, s=s2), net
             else:
                 n2 = ratio_via_liabilities(net, d, params.s, q0=params.q0)
                 p2 = params
         force = args.force or not n2.full_recovery
-        vals = _sweep_metrics(n2, p2, force)
-        for metric in metrics:
-            col = vals[metric]
-            for i in range(net.n):
-                rows.append(
-                    {"param": g, "bank": str(i + 1), "metric": metric, "value": col[i]}
-                )
-            rows.append(
-                {"param": g, "bank": "median", "metric": metric, "value": float(np.median(col))}
-            )
+        sides = {which: _price_side(n2, p2, which, force) for which in ("lower", "upper")}
+        for k, name in enumerate(("price", "rate", "cap")):
+            for which, vals in sides.items():
+                metric, col = f"{name}_{which}", vals[k]
+                for i in range(net.n):
+                    rows.append(
+                        {"param": g, "bank": str(i + 1), "metric": metric, "value": col[i]}
+                    )
+                median = float(np.median(col))
+                rows.append({"param": g, "bank": "median", "metric": metric, "value": median})
     _emit(args, "statics", ("param", "bank", "metric", "value"), rows)
 
 

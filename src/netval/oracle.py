@@ -57,13 +57,6 @@ class DefaultRegion:
     halfspaces: tuple
     excluded: tuple = field(default=())
 
-    def raw_contains(self, x: np.ndarray) -> bool:
-        for row, bound, strict in self.halfspaces:
-            v = float(row @ x)
-            if (v <= bound) if strict else (v < bound):
-                return False
-        return True
-
     def raw_contains_batch(self, X: np.ndarray) -> np.ndarray:
         ok = np.ones(X.shape[0], dtype=bool)
         for row, bound, strict in self.halfspaces:
@@ -103,22 +96,8 @@ def enumerate_regions(net: FinancialNetwork) -> list:
     return regions
 
 
-def classify(net: FinancialNetwork, x, regions=None) -> np.ndarray:
-    """Default pattern of ``x`` found purely from the region geometry."""
-    x = np.asarray(x, dtype=float)
-    if regions is None:
-        regions = enumerate_regions(net)
-    member = {}
-    for reg in regions:
-        inside = reg.raw_contains(x) and not any(member[zb] for zb in reg.excluded)
-        member[reg.z] = inside
-        if inside:
-            return np.array(reg.z, dtype=int)
-    raise RuntimeError("internal invariant violation: point escaped every region")
-
-
 def classify_batch(net: FinancialNetwork, X, regions=None) -> np.ndarray:
-    """Vectorized classify; returns an (m, n) 0/1 pattern matrix."""
+    """Default pattern of each row of ``X`` from the region geometry; (m, n) 0/1."""
     X = np.asarray(X, dtype=float)
     if regions is None:
         regions = enumerate_regions(net)
@@ -138,10 +117,9 @@ def classify_batch(net: FinancialNetwork, X, regions=None) -> np.ndarray:
     return patterns[assigned]
 
 
-def region_wealth(net: FinancialNetwork, z, x) -> np.ndarray:
-    """Affine wealth V = Delta(z) x - delta(z) for a fixed pattern."""
-    z = np.asarray(z, dtype=bool)
-    return delta_matrix(net, z) @ np.asarray(x, dtype=float) - delta_vector(net, z)
+def classify(net: FinancialNetwork, x, regions=None) -> np.ndarray:
+    """Default pattern of ``x`` found purely from the region geometry."""
+    return classify_batch(net, np.asarray(x, dtype=float)[None, :], regions)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +221,8 @@ def simulate(spec: dict, n_paths: int, seed: int, path_offset: int = 0) -> Scena
             raise OracleError("finite-support spec needs (k, n) atoms and k probs")
         if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
             raise OracleError("probabilities must be nonnegative and sum to 1")
+        if np.any(atoms < 0.0) or not np.all(np.isfinite(atoms)):
+            raise OracleError("finite-support atoms must be nonnegative and finite")
         u = _substream_uniforms(seed, tag, n_paths, 1, path_offset)[:, 0]
         idx = np.searchsorted(np.cumsum(probs), u, side="right")
         X = atoms[np.clip(idx, 0, atoms.shape[0] - 1)]

@@ -1,7 +1,17 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+import netval
 from netval import build_network
+
+# tests that start ``python -m netval.cli`` in a subprocess must load the
+# netval this session imports, also when it was found via pytest's pythonpath
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(netval.__file__)))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 settings.register_profile(
     "ci",

@@ -12,6 +12,7 @@ from netval import (
     greatest_clearing_batch,
     psi_star,
 )
+from netval.clearing import ZERO_TOL
 
 ALPHAS = [1.0, 0.5]
 
@@ -93,6 +94,16 @@ def test_psi_star_fixed_point_cross_holdings_partial_recovery(seed, alpha_x, alp
     assert np.max(np.abs(psi_star(net, x, V) - V)) < 1e-12
 
 
+def test_psi_star_uses_the_clearing_solvency_band():
+    # V0 lands a round-off below zero, inside the band clearing calls solvent
+    net = build_network([[0.0, 7.0, 3.0], [3.0, 0.0, 3.0]], 0.5, 0.5)
+    x = np.array([6.999999999999799, 20.0])
+    res = greatest_clearing(net, x)
+    assert -ZERO_TOL <= res.V[0] < 0.0 and res.z[0] == 0
+    # treating V0 < 0 as default gives a residual of the whole haircut, -5
+    assert np.max(np.abs(psi_star(net, x, res.V) - res.V)) < 1e-12
+
+
 def test_psi_star_monotone_in_V(cycle_half):
     rng = np.random.default_rng(3)
     x = np.array([0.5, 1.5])
@@ -141,6 +152,45 @@ def test_batch_matches_scalar(alpha):
         assert np.allclose(p[k], res.p, atol=1e-10)
         assert np.allclose(E[k], res.E, atol=1e-10)
         assert np.array_equal(Z[k], res.z)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha_x=st.sampled_from([1.0, 0.7, 0.3]),
+    alpha_L=st.sampled_from([1.0, 0.5, 0.0]),
+)
+@settings(max_examples=40)
+def test_single_is_a_batch_of_one(seed, alpha_x, alpha_L):
+    rng = np.random.default_rng(seed)
+    L = random_net(rng).L
+    n = L.shape[0]
+    Gamma = rng.uniform(0.0, 0.9 / n, (n, n))
+    np.fill_diagonal(Gamma, 0.0)
+    net = build_network(L, alpha_x, alpha_L, Gamma=Gamma)
+    X = rng.uniform(0.0, 3.0, (20, n))
+    V, p, E, Z = greatest_clearing_batch(net, X)
+    for k in range(X.shape[0]):
+        res = greatest_clearing(net, X[k])
+        one = greatest_clearing_batch(net, X[k : k + 1])
+        for single, row in zip((res.V, res.p, res.E), one):
+            assert np.array_equal(single, row[0])
+        assert res.societal_payment == float(net.pi_soc @ one[1][0])
+        assert 1 <= res.iterations <= n + 1
+        # a longer batch goes through BLAS gemm, a single row through gemv;
+        # they sum in another order, so rows agree to round-off, not bits
+        for single, rows in zip((res.V, res.p, res.E), (V, p, E)):
+            assert np.allclose(single, rows[k], rtol=0.0, atol=1e-12)
+        assert np.array_equal(res.z, (res.V < -ZERO_TOL).astype(int))
+        assert np.all(res.z <= Z[k])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+def test_batch_rejects_bad_endowments(two_bank, bad):
+    X = np.array([[3.0, 4.0], [bad, 4.0]])
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        greatest_clearing_batch(two_bank, X)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        greatest_clearing(two_bank, X[1])
 
 
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from(ALPHAS))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from netval import read_network_csv, write_network_csv
+from netval import build_network, cli, read_network_csv, write_network_csv
 
 from helpers import make_cycle, make_two_bank
 
@@ -309,9 +310,141 @@ def test_exit_domain_error(tmp_path, beta1_params):
     assert all(r["guarantee"] == "no bound guarantee" for r in rows)
 
 
+@pytest.mark.parametrize("x", ["nan,2", "-1,2", "inf,2", "1,2,3", "1"])
+def test_clear_rejects_bad_endowments(two_bank_csv, capsys, x):
+    assert cli.main(["clear", two_bank_csv, f"--x={x}"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "schema"
+    assert "--x" in err["error"]["message"]
+
+
+def test_mc_rejects_negative_atoms(tmp_path, two_bank_csv, capsys):
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(
+        json.dumps(
+            {"kind": "finite-support", "atoms": [[-1.0, 2.0], [3.0, 4.0]], "probs": [0.5, 0.5]}
+        )
+    )
+    assert cli.main(["mc", two_bank_csv, str(scenario), "--paths", "100"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "domain"
+    assert "atoms" in err["error"]["message"]
+
+
 def test_json_schema_envelope(two_bank_csv, bench_model):
     proc = run_cli("q-star", two_bank_csv, bench_model, "--format", "json", check=True)
     doc = json.loads(proc.stdout)
     assert list(doc) == sorted(doc)
     assert doc["command"] == "q-star"
     assert isinstance(doc["rows"], list) and len(doc["rows"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden output bytes
+
+
+GOLDEN_PARAMS = {
+    "r": 0.02,
+    "T": 1.0,
+    "sigma_M": 0.2,
+    "beta": [0.8, 1.2],
+    "gamma": [0.1, 0.15],
+    "s": [7.5, 4.0],
+}
+
+GOLDEN_LOGNORMAL_MODEL = {
+    "maps": [
+        {"type": "affine", "shift": 0.0, "slope": 3.0},
+        {"type": "affine", "shift": 0.0, "slope": 4.0},
+    ],
+    "dist": {"kind": "lognormal", "mu": -0.5, "sigma2": 1.0},
+}
+
+GOLDEN_INPUTS = {
+    "params.json": GOLDEN_PARAMS,
+    "bounds_lognormal.json": {
+        "marginals": [
+            {"kind": "lognormal", "mu": 1.0, "sigma2": 0.25},
+            {"kind": "lognormal", "mu": 1.2, "sigma2": 0.16},
+        ],
+        "conditional_model": GOLDEN_LOGNORMAL_MODEL,
+    },
+    "bounds_finite.json": {
+        "marginals": [
+            {"kind": "finite", "atoms": [1.0, 3.0, 6.0], "probs": [0.2, 0.5, 0.3]},
+            {"kind": "finite", "atoms": [2.0, 5.0], "probs": [0.4, 0.6]},
+        ],
+    },
+    "bounds_tabulated.json": {
+        "marginals": [
+            {"kind": "tabulated-quantile", "u": [0.1, 0.5, 0.9], "x": [1.0, 3.0, 6.0]},
+            {"kind": "tabulated-quantile", "u": [0.2, 0.6, 0.8], "x": [2.0, 4.0, 7.0]},
+        ],
+    },
+}
+
+# sha256 of stdout: any change in the arithmetic behind these commands,
+# down to the last bit of one value, shows; {dir} holds the inputs
+GOLDEN_CALLS = [
+    pytest.param(
+        "bounds {dir}/net.csv {dir}/bounds_lognormal.json",
+        "a82e340deb7dd352892493e65fcc60b148ca0fa21bdb26e9877d2269a4a37db4",
+        id="bounds-lognormal-conditional",
+    ),
+    pytest.param(
+        "bounds {dir}/net.csv {dir}/bounds_finite.json",
+        "7141f5223fe610e35d5fd13e0430fd67a901b0558b3f83d369870dd961c0dfc5",
+        id="bounds-finite",
+    ),
+    pytest.param(
+        "bounds {dir}/net.csv {dir}/bounds_tabulated.json",
+        "73ccbe3a9e88c56ba4e9c4e39bfb0e278b0b5b6e3cdda4aab25fd7c8519aea17",
+        id="bounds-tabulated-quantile",
+    ),
+    pytest.param(
+        "statics {dir}/net.csv {dir}/params.json --sweep T --grid 0.5,1,2",
+        "2c2dade989165da24873ebb0b17621584f3dc51f9a370d5c727ba87839d2a713",
+        id="statics-T",
+    ),
+    pytest.param(
+        "statics {dir}/net.csv {dir}/params.json --sweep alpha --grid 0.5,1",
+        "6b9ea02d351ecd141e820918a6412b542352bb72ffcf7749335e38426573652b",
+        id="statics-alpha",
+    ),
+    pytest.param(
+        "statics {dir}/net.csv {dir}/params.json --sweep ratio --route liabilities"
+        " --grid 0.8,1.2,1.6",
+        "f071a43bb804c2a021e4cfcc9750e3cc8f86b759fe33ed79a7a53cf777b1c47c",
+        id="statics-ratio-liabilities",
+    ),
+    pytest.param(
+        "price {dir}/net.csv {dir}/params.json --which both --baseline risky",
+        "a99289385d5e7d554e3ea8ee2b1b0adbd91c645c5f073ea99b4ca97d30745f1b",
+        id="price-both-risky",
+    ),
+    pytest.param(
+        "price {dir}/partial.csv {dir}/params.json --which lower --force",
+        "f8927f9ce94d1f4cd77208ff1d72c57d26a98e6dd9280454a1d5f476fd274a91",
+        id="price-lower-force-partial",
+    ),
+]
+
+
+@pytest.fixture
+def golden_dir(tmp_path):
+    for name, obj in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    write_network_csv(str(tmp_path / "net.csv"), make_two_bank())
+    partial = build_network([[0.0, 7.0, 3.0], [3.0, 0.0, 3.0]], 0.5, 0.7)
+    write_network_csv(str(tmp_path / "partial.csv"), partial)
+    return tmp_path
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN_CALLS)
+def test_golden_stdout(golden_dir, capsys, command, digest):
+    argv = command.format(dir=golden_dir).split()
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

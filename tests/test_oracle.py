@@ -89,15 +89,17 @@ def test_region_disjointness_under_costs(cycle_half):
     regions = enumerate_regions(cycle_half)
     by_z = {r.z: r for r in regions}
 
-    def member(r, x):
-        if not r.raw_contains(x):
-            return False
-        return not any(member(by_z[zb], x) for zb in r.excluded)
-
     rng = np.random.default_rng(7)
     X = rng.uniform(0.0, 3.0, (2000, 2))
-    for x in X:
-        assert sum(member(r, x) for r in regions) == 1
+
+    def member(r):
+        inside = r.raw_contains_batch(X)
+        for zb in r.excluded:
+            inside &= ~member(by_z[zb])
+        return inside
+
+    hits = sum(member(r).astype(int) for r in regions)
+    assert np.all(hits == 1)
 
 
 def test_non_convex_region_witness(cycle_half):
@@ -231,6 +233,13 @@ def test_empty_batch_rejected():
         simulate(factor_spec(), 0, 0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_finite_support_rejects_bad_atoms(bad):
+    spec = {"kind": "finite-support", "atoms": [[bad, 2.0], [3.0, 4.0]], "probs": [0.5, 0.5]}
+    with pytest.raises(OracleError, match="nonnegative and finite"):
+        simulate(spec, 10, 0)
+
+
 # ---------------------------------------------------------------------------
 # expectation estimators
 
@@ -253,6 +262,11 @@ def test_exact_two_point_law_formula(cycle_half):
         cycle_half, np.array([[0.0, 2.0], [1.0, 0.0]]), np.array([0.5, 0.5])
     )
     assert np.allclose(exact.Ep, expected, atol=1e-12)
+
+
+def test_exact_expectations_rejects_negative_atom(two_bank):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        exact_expectations(two_bank, np.array([[-1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 0.5]))
 
 
 def test_se_scaling_rate(two_bank):
