@@ -112,8 +112,7 @@ def hat_eta(z, qT: float, params: CapmParams) -> np.ndarray:
     if qT <= 0.0:
         raise PricingError("qT must be positive")
     z = np.asarray(z, dtype=float)
-    r, T, sM = params.r, params.T, params.sigma_M
-    return np.exp((1.0 - z / sM) * (r + 0.5 * z * sM) * T) * qT ** (z / sM)
+    return _eta_prefactor(z, params) * qT ** (z / params.sigma_M)
 
 
 def _eta_prefactor(z, params: CapmParams) -> np.ndarray:
@@ -129,28 +128,20 @@ def _eta_maps(z, params: CapmParams):
     return [PowerMap(float(c), float(e)) for c, e in zip(coef, expo)]
 
 
-def capm_thresholds(
-    net: FinancialNetwork, params: CapmParams, which: str, use_shortcut=None
-) -> SolvencyThresholds:
+def capm_thresholds(net: FinancialNetwork, params: CapmParams, which: str) -> SolvencyThresholds:
     """Normalized-factor solvency thresholds for the chosen bound.
 
     When every bank carries the same positive z, thresholds at z follow
     from the z = sigma_M case by a strictly increasing power transform,
-    which preserves the default order and the affine ladder; this
-    shortcut is applied automatically unless disabled.
+    which preserves the default order and the affine ladder; that case
+    takes this shortcut, every other case the general sweep.
     """
     if params.n != net.n:
         raise PricingError(f"params cover {params.n} banks, network has {net.n}")
     z = params.z_vector(which)
     dist = params.factor_dist()
 
-    homogeneous = bool(z.size > 0 and np.all(z == z[0]) and z[0] > 0.0)
-    if use_shortcut is None:
-        use_shortcut = homogeneous
-    elif use_shortcut and not homogeneous:
-        raise PricingError("threshold shortcut needs one common positive z")
-
-    if use_shortcut:
+    if z.size > 0 and np.all(z == z[0]) and z[0] > 0.0:
         zc, sM, r, T = float(z[0]), params.sigma_M, params.r, params.T
         base = FactorModel(
             [AffineMap(0.0, float(si * params.q0)) for si in params.s], dist

@@ -65,31 +65,28 @@ def _system_matrix(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
     return np.eye(net.n) - b[:, None] * inner
 
 
-def delta_matrix(net: FinancialNetwork, z) -> np.ndarray:
-    """Sensitivity of clearing wealths to endowments for default set ``z``."""
-    z = np.asarray(z)
-    M = _system_matrix(net, z)
-    rhs = np.eye(net.n) * (1.0 - (1.0 - net.alpha_x) * z.astype(float))
+def _solve(net: FinancialNetwork, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # one solve per right-hand side: solving both at once changes the last
+    # bits of the intercept
     try:
-        return np.linalg.solve(M, rhs)
+        return np.linalg.solve(_system_matrix(net, z), rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(
             "internal invariant violation: clearing system is singular"
         ) from exc
+
+
+def delta_matrix(net: FinancialNetwork, z) -> np.ndarray:
+    """Sensitivity of clearing wealths to endowments for default set ``z``."""
+    z = np.asarray(z)
+    return _solve(net, z, np.eye(net.n) * (1.0 - (1.0 - net.alpha_x) * z.astype(float)))
 
 
 def delta_vector(net: FinancialNetwork, z) -> np.ndarray:
     """Intercept of the affine wealth map for default set ``z``."""
     z = np.asarray(z)
-    M = _system_matrix(net, z)
     b = 1.0 - (1.0 - net.alpha_L) * z.astype(float)
-    rhs = net.p_bar - b * (net.Pi.T @ net.p_bar)
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(
-            "internal invariant violation: clearing system is singular"
-        ) from exc
+    return _solve(net, z, net.p_bar - b * (net.Pi.T @ net.p_bar))
 
 
 def _clear(net: FinancialNetwork, X: np.ndarray):
@@ -115,7 +112,7 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
         return cache[zkey]
 
     Z = np.zeros((m, net.n), dtype=bool)
-    D0, d0 = affine(Z[0].tobytes())
+    D0, d0 = affine(np.zeros(net.n, dtype=bool).tobytes())
     V = X @ D0.T - d0
     rounds = 1
 

@@ -104,11 +104,23 @@ def _jsonable(v):
     return repr(x)
 
 
-def _emit(args, command: str, columns, rows) -> None:
+def _bank_rows(n: int, **columns) -> list:
+    """One row per bank: ``bank`` (1-based unless given), then ``columns``.
+
+    A column is a per-bank sequence, or a scalar repeated on every row.
+    """
+    columns = {"bank": [str(i + 1) for i in range(n)], **columns}
+    columns = {k: [v] * n if np.ndim(v) == 0 else v for k, v in columns.items()}
+    return [{k: v[i] for k, v in columns.items()} for i in range(n)]
+
+
+def _emit(args, rows) -> None:
+    """Write ``rows`` as ``args.format``; columns follow the first row's keys."""
+    columns = list(rows[0])
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "rows": [{c: _jsonable(r[c]) for c in columns} for r in rows],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -142,7 +154,9 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _require_keys(obj: dict, what: str, required, optional=()):
+def _require_keys(obj, what: str, required, optional=()):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what}: expected a JSON object")
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"{what}: missing key(s) {', '.join(missing)}")
@@ -152,107 +166,107 @@ def _require_keys(obj: dict, what: str, required, optional=()):
         raise SchemaError(f"{what}: unknown key(s) {', '.join(sorted(unknown))}")
 
 
-def _dist_from_json(obj) -> object:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError("dist: expected an object with a 'kind' key")
-    kind = obj["kind"]
-    if kind == "lognormal":
-        _require_keys(obj, "dist.lognormal", ("kind", "mu", "sigma2"))
-        return LogNormal(float(obj["mu"]), float(obj["sigma2"]))
-    if kind == "pointmass":
-        _require_keys(obj, "dist.pointmass", ("kind", "atoms", "probs"))
-        return PointMass(obj["atoms"], obj["probs"])
-    if kind == "empirical":
-        _require_keys(obj, "dist.empirical", ("kind", "sample"))
-        return Empirical(obj["sample"])
-    if kind == "uniform":
-        _require_keys(obj, "dist.uniform", ("kind",))
-        return Uniform01()
-    raise SchemaError(f"dist: unknown kind {kind!r}")
+def _num(obj: dict, key: str, what: str, default=None) -> float:
+    value = obj.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: {key} must be a number, got {value!r}") from exc
 
 
-def _map_from_json(obj) -> object:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise SchemaError("map: expected an object with a 'type' key")
-    mtype = obj["type"]
-    if mtype == "affine":
-        _require_keys(obj, "map.affine", ("type", "shift", "slope"))
-        return AffineMap(float(obj["shift"]), float(obj["slope"]))
-    if mtype == "power":
-        _require_keys(obj, "map.power", ("type", "coef", "exponent"), ("shift",))
-        return PowerMap(
-            float(obj["coef"]), float(obj["exponent"]), float(obj.get("shift", 0.0))
-        )
-    if mtype == "tabulated":
-        _require_keys(obj, "map.tabulated", ("type", "q", "x"))
-        return TabulatedMap(obj["q"], obj["x"])
-    raise SchemaError(f"map: unknown type {mtype!r}")
+def _tagged(obj, what: str, tag: str, table: dict):
+    """Parse a JSON object whose ``tag`` key selects an entry of ``table``.
+
+    Each entry maps a kind to ``(builder, required keys, optional keys)``;
+    the builder gets the object and its ``what.kind`` name for messages.
+    """
+    if not isinstance(obj, dict) or tag not in obj:
+        raise SchemaError(f"{what}: expected an object with a {tag!r} key")
+    kind = obj[tag]
+    if not isinstance(kind, str) or kind not in table:
+        raise SchemaError(f"{what}: unknown {tag} {kind!r}")
+    build, required, optional = table[kind]
+    where = f"{what}.{kind}"
+    _require_keys(obj, where, (tag,) + required, optional)
+    return build(obj, where)
 
 
-def _factor_model_from_json(obj: dict) -> FactorModel:
+_DISTS = {
+    "lognormal": (
+        lambda o, w: LogNormal(_num(o, "mu", w), _num(o, "sigma2", w)),
+        ("mu", "sigma2"),
+        (),
+    ),
+    "pointmass": (lambda o, w: PointMass(o["atoms"], o["probs"]), ("atoms", "probs"), ()),
+    "empirical": (lambda o, w: Empirical(o["sample"]), ("sample",), ()),
+    "uniform": (lambda o, w: Uniform01(), (), ()),
+}
+
+_MAPS = {
+    "affine": (
+        lambda o, w: AffineMap(_num(o, "shift", w), _num(o, "slope", w)),
+        ("shift", "slope"),
+        (),
+    ),
+    "power": (
+        lambda o, w: PowerMap(
+            _num(o, "coef", w), _num(o, "exponent", w), _num(o, "shift", w, 0.0)
+        ),
+        ("coef", "exponent"),
+        ("shift",),
+    ),
+    "tabulated": (lambda o, w: TabulatedMap(o["q"], o["x"]), ("q", "x"), ()),
+}
+
+# marginals share the distribution parsers under their own kind names
+_MARGINALS = {
+    "lognormal": _DISTS["lognormal"],
+    "finite": _DISTS["pointmass"],
+    "tabulated-quantile": (lambda o, w: TabulatedQuantile(o["u"], o["x"]), ("u", "x"), ()),
+}
+
+
+def _factor_model_from_json(obj) -> FactorModel:
     _require_keys(obj, "factor model", ("maps", "dist"))
     if not isinstance(obj["maps"], list) or not obj["maps"]:
         raise SchemaError("factor model: 'maps' must be a nonempty list")
-    return FactorModel([_map_from_json(m) for m in obj["maps"]], _dist_from_json(obj["dist"]))
-
-
-def _capm_from_json(obj: dict) -> CapmParams:
-    _require_keys(
-        obj,
-        "capm params",
-        ("r", "T", "sigma_M", "beta", "gamma", "s"),
-        ("sigma", "q0", "mu_M"),
+    return FactorModel(
+        [_tagged(m, "map", "type", _MAPS) for m in obj["maps"]],
+        _tagged(obj["dist"], "dist", "kind", _DISTS),
     )
+
+
+def _capm_from_json(obj) -> CapmParams:
+    what = "capm params"
+    _require_keys(obj, what, ("r", "T", "sigma_M", "beta", "gamma", "s"), ("sigma", "q0", "mu_M"))
     return CapmParams(
-        r=float(obj["r"]),
-        T=float(obj["T"]),
-        sigma_M=float(obj["sigma_M"]),
+        r=_num(obj, "r", what),
+        T=_num(obj, "T", what),
+        sigma_M=_num(obj, "sigma_M", what),
         beta=obj["beta"],
         gamma=obj["gamma"],
         s=obj["s"],
         sigma=obj.get("sigma"),
-        q0=float(obj.get("q0", 1.0)),
-        mu_M=None if obj.get("mu_M") is None else float(obj["mu_M"]),
+        q0=_num(obj, "q0", what, 1.0),
+        mu_M=None if obj.get("mu_M") is None else _num(obj, "mu_M", what),
     )
 
 
-def _marginal_from_json(obj) -> object:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError("marginal: expected an object with a 'kind' key")
-    kind = obj["kind"]
-    if kind == "lognormal":
-        _require_keys(obj, "marginal.lognormal", ("kind", "mu", "sigma2"))
-        return LogNormal(float(obj["mu"]), float(obj["sigma2"]))
-    if kind == "finite":
-        _require_keys(obj, "marginal.finite", ("kind", "atoms", "probs"))
-        return PointMass(obj["atoms"], obj["probs"])
-    if kind == "tabulated-quantile":
-        _require_keys(obj, "marginal.tabulated-quantile", ("kind", "u", "x"))
-        return TabulatedQuantile(obj["u"], obj["x"])
-    raise SchemaError(f"marginal: unknown kind {kind!r}")
-
-
-def _scenario_from_json(obj: dict) -> dict:
-    if "kind" not in obj:
-        raise SchemaError("scenario: missing 'kind'")
-    kind = obj["kind"]
-    if kind == "comonotonic-factor":
-        _require_keys(obj, "scenario", ("kind", "model"))
-        return {"kind": kind, "model": _factor_model_from_json(obj["model"])}
-    if kind == "capm":
-        _require_keys(obj, "scenario", ("kind", "params"), ("measure",))
-        return {
-            "kind": kind,
-            "params": _capm_from_json(obj["params"]),
-            "measure": obj.get("measure", "Q"),
-        }
-    if kind == "gaussian-copula-lognormal":
-        _require_keys(obj, "scenario", ("kind", "mu", "sigma", "corr"))
-        return {"kind": kind, "mu": obj["mu"], "sigma": obj["sigma"], "corr": obj["corr"]}
-    if kind == "finite-support":
-        _require_keys(obj, "scenario", ("kind", "atoms", "probs"))
-        return {"kind": kind, "atoms": obj["atoms"], "probs": obj["probs"]}
-    raise SchemaError(f"scenario: unknown kind {kind!r}")
+# a scenario is the JSON object itself, with its model or params parsed
+_SCENARIOS = {
+    "comonotonic-factor": (
+        lambda o, w: dict(o, model=_factor_model_from_json(o["model"])),
+        ("model",),
+        (),
+    ),
+    "capm": (
+        lambda o, w: dict(o, params=_capm_from_json(o["params"])),
+        ("params",),
+        ("measure",),
+    ),
+    "gaussian-copula-lognormal": (lambda o, w: o, ("mu", "sigma", "corr"), ()),
+    "finite-support": (lambda o, w: o, ("atoms", "probs"), ()),
+}
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -275,41 +289,24 @@ def _cmd_clear(args) -> None:
     if x.shape != (net.n,) or np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise SchemaError(f"--x: expected {net.n} nonnegative finite endowments, got {args.x!r}")
     res = greatest_clearing(net, x)
-    cols = ("bank", "V", "p", "E", "z")
-    rows = [
-        {"bank": str(i + 1), "V": res.V[i], "p": res.p[i], "E": res.E[i], "z": int(res.z[i])}
-        for i in range(net.n)
-    ]
-    rows.append(
-        {
-            "bank": "society",
-            "V": res.societal_payment,
-            "p": 0.0,
-            "E": res.societal_payment,
-            "z": 0,
-        }
-    )
-    _emit(args, "clear", cols, rows)
+    rows = _bank_rows(net.n, V=res.V, p=res.p, E=res.E, z=res.z)
+    soc = res.societal_payment
+    rows.append({"bank": "society", "V": soc, "p": 0.0, "E": soc, "z": 0})
+    _emit(args, rows)
 
 
 def _cmd_qstar(args) -> None:
     net = read_network_csv(args.network)
     model = _factor_model_from_json(_load_json(args.model))
     th = solvency_thresholds(net, model)
-    rows = [{"bank": str(i + 1), "q_star": th.q_star[i]} for i in range(net.n)]
-    _emit(args, "q-star", ("bank", "q_star"), rows)
+    _emit(args, _bank_rows(net.n, q_star=th.q_star))
 
 
 def _cmd_expect(args) -> None:
     net = read_network_csv(args.network)
     model = _factor_model_from_json(_load_json(args.model))
     ev = expected_values(net, model)
-    cols = ("bank", "pd", "EV", "Ep", "EE")
-    rows = [
-        {"bank": str(i + 1), "pd": ev.pd[i], "EV": ev.EV[i], "Ep": ev.Ep[i], "EE": ev.EE[i]}
-        for i in range(net.n)
-    ]
-    _emit(args, "expect", cols, rows)
+    _emit(args, _bank_rows(net.n, pd=ev.pd, EV=ev.EV, Ep=ev.Ep, EE=ev.EE))
 
 
 def _cmd_bounds(args) -> None:
@@ -318,23 +315,13 @@ def _cmd_bounds(args) -> None:
     _require_keys(obj, "marginals file", ("marginals",), ("conditional_model",))
     if not isinstance(obj["marginals"], list) or not obj["marginals"]:
         raise SchemaError("marginals file: 'marginals' must be a nonempty list")
-    marg = MarginalSet([_marginal_from_json(m) for m in obj["marginals"]])
+    marg = MarginalSet([_tagged(m, "marginal", "kind", _MARGINALS) for m in obj["marginals"]])
     lower = comonotonic_lower(net, marg)
     jensen = jensen_upper(net, marg.means())
     cond = None
     if obj.get("conditional_model") is not None:
-        cond = conditional_upper(net, _factor_model_from_json(obj["conditional_model"]))
-    cols = ("bank", "lower", "conditional_upper", "jensen_upper")
-    rows = [
-        {
-            "bank": str(i + 1),
-            "lower": lower.Ep[i],
-            "conditional_upper": None if cond is None else cond.Ep[i],
-            "jensen_upper": jensen.Ep[i],
-        }
-        for i in range(net.n)
-    ]
-    _emit(args, "bounds", cols, rows)
+        cond = conditional_upper(net, _factor_model_from_json(obj["conditional_model"])).Ep
+    _emit(args, _bank_rows(net.n, lower=lower.Ep, conditional_upper=cond, jensen_upper=jensen.Ep))
 
 
 def _price_side(net, params, which, force):
@@ -345,35 +332,19 @@ def _price_side(net, params, which, force):
     return price, rate, cap
 
 
-def _bank_rows(which, price, rate, cap, guarantee):
-    return [
-        {
-            "bank": str(i + 1),
-            "which": which,
-            "price": price[i],
-            "rate": rate[i],
-            "market_cap": cap[i],
-            "guarantee": guarantee,
-        }
-        for i in range(price.size)
-    ]
-
-
 def _cmd_price(args) -> None:
     net = read_network_csv(args.network)
     params = _capm_from_json(_load_json(args.params))
     guarantee = "bound" if net.full_recovery else "no bound guarantee"
     sides = ("lower", "upper") if args.which == "both" else (args.which,)
-    rows = []
-    for which in sides:
-        rows += _bank_rows(which, *_price_side(net, params, which, args.force), guarantee)
+    parts = [(which, *_price_side(net, params, which, args.force), guarantee) for which in sides]
     if args.baseline != "none":
-        base = merton_baseline(net, params, args.baseline + "_interbank")
-        rows += _bank_rows(
-            f"baseline_{args.baseline}", base.price, base.rate, base.market_cap, "baseline"
-        )
-    cols = ("bank", "which", "price", "rate", "market_cap", "guarantee")
-    _emit(args, "price", cols, rows)
+        b = merton_baseline(net, params, args.baseline + "_interbank")
+        parts.append((f"baseline_{args.baseline}", b.price, b.rate, b.market_cap, "baseline"))
+    rows = []
+    for which, price, rate, cap, g in parts:
+        rows += _bank_rows(net.n, which=which, price=price, rate=rate, market_cap=cap, guarantee=g)
+    _emit(args, rows)
 
 
 def _cmd_statics(args) -> None:
@@ -421,7 +392,7 @@ def _cmd_statics(args) -> None:
                     )
                 median = float(np.median(col))
                 rows.append({"param": g, "bank": "median", "metric": metric, "value": median})
-    _emit(args, "statics", ("param", "bank", "metric", "value"), rows)
+    _emit(args, rows)
 
 
 def _cmd_calibrate(args) -> None:
@@ -435,68 +406,29 @@ def _cmd_calibrate(args) -> None:
     )
     if args.network_out is not None:
         _write_text(args.network_out, network_csv_text(net))
-    cols = ("bank", "s", "L_ext", "p_bar", "interbank")
-    rows = [
-        {
-            "bank": calib.bank_ids[i],
-            "s": calib.s[i],
-            "L_ext": calib.L_ext[i],
-            "p_bar": calib.p_bar[i],
-            "interbank": calib.interbank[i],
-        }
-        for i in range(len(calib.bank_ids))
-    ]
-    _emit(args, "calibrate", cols, rows)
+    columns = {k: getattr(calib, k) for k in ("s", "L_ext", "p_bar", "interbank")}
+    _emit(args, _bank_rows(len(calib.bank_ids), bank=calib.bank_ids, **columns))
 
 
 def _cmd_simulate(args) -> None:
-    spec = _scenario_from_json(_load_json(args.scenario))
+    spec = _tagged(_load_json(args.scenario), "scenario", "kind", _SCENARIOS)
     batch = simulate(spec, args.paths, args.seed, path_offset=args.offset)
-    n = batch.X.shape[1]
-    cols = ("path",) + tuple(f"x{i + 1}" for i in range(n))
-    rows = []
-    for k in range(batch.X.shape[0]):
-        row = {"path": str(args.offset + k)}
-        for i in range(n):
-            row[f"x{i + 1}"] = batch.X[k, i]
-        rows.append(row)
-    _emit(args, "simulate", cols, rows)
+    rows = [
+        {"path": str(args.offset + k), **{f"x{i + 1}": v for i, v in enumerate(x)}}
+        for k, x in enumerate(batch.X)
+    ]
+    _emit(args, rows)
 
 
 def _cmd_mc(args) -> None:
     net = read_network_csv(args.network)
-    spec = _scenario_from_json(_load_json(args.scenario))
+    spec = _tagged(_load_json(args.scenario), "scenario", "kind", _SCENARIOS)
     batch = simulate(spec, args.paths, args.seed, path_offset=args.offset)
     est = mc_expectations(net, batch)
-    cols = ("bank", "pd", "EV", "Ep", "EE", "se_pd", "se_EV", "se_Ep", "se_EE")
-    rows = [
-        {
-            "bank": str(i + 1),
-            "pd": est.pd[i],
-            "EV": est.EV[i],
-            "Ep": est.Ep[i],
-            "EE": est.EE[i],
-            "se_pd": est.se_pd[i],
-            "se_EV": est.se_EV[i],
-            "se_Ep": est.se_Ep[i],
-            "se_EE": est.se_EE[i],
-        }
-        for i in range(net.n)
-    ]
-    rows.append(
-        {
-            "bank": "society",
-            "pd": None,
-            "EV": None,
-            "Ep": est.E_soc,
-            "EE": None,
-            "se_pd": None,
-            "se_EV": None,
-            "se_Ep": est.se_soc,
-            "se_EE": None,
-        }
-    )
-    _emit(args, "mc", cols, rows)
+    names = ("pd", "EV", "Ep", "EE", "se_pd", "se_EV", "se_Ep", "se_EE")
+    rows = _bank_rows(net.n, **{k: getattr(est, k) for k in names})
+    rows.append(dict.fromkeys(rows[0]) | {"bank": "society", "Ep": est.E_soc, "se_Ep": est.se_soc})
+    _emit(args, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from helpers import make_two_bank
 from netval import (
     CapmParams,
+    FactorModel,
     PricingError,
     build_network,
     capm_thresholds,
@@ -17,7 +18,9 @@ from netval import (
     mc_expectations,
     merton_baseline,
     simulate,
+    solvency_thresholds,
 )
+from netval.capm import _eta_maps
 from netval.comonotonic import norm_cdf
 
 
@@ -132,19 +135,14 @@ def test_bound_refused_under_costs():
 
 
 def test_shortcut_matches_general(two_bank):
+    # a common z takes the power-transform shortcut; compare with the
+    # general sweep over the same per-bank power maps
     params = beta_params(0.5, r=0.03, T=2.0, sigma_M=0.8)
-    a = capm_thresholds(two_bank, params, "upper", use_shortcut=True)
-    b = capm_thresholds(two_bank, params, "upper", use_shortcut=False)
+    z = params.z_vector("upper")
+    a = capm_thresholds(two_bank, params, "upper")
+    b = solvency_thresholds(two_bank, FactorModel(_eta_maps(z, params), params.factor_dist()))
     assert np.allclose(a.q_star, b.q_star, rtol=1e-9)
     assert np.array_equal(a.order, b.order)
-
-
-def test_shortcut_requires_homogeneous_z(two_bank):
-    params = CapmParams(
-        r=0.0, T=1.0, sigma_M=1.0, beta=[0.3, 0.8], gamma=[0.2, 0.1], s=[3.0, 4.0]
-    )
-    with pytest.raises(PricingError, match="common positive z"):
-        capm_thresholds(two_bank, params, "lower", use_shortcut=True)
 
 
 def test_thresholds_sorted_both_sides(two_bank):

@@ -193,6 +193,11 @@ def test_batch_rejects_bad_endowments(two_bank, bad):
         greatest_clearing(two_bank, X[1])
 
 
+def test_empty_batch(two_bank):
+    out = greatest_clearing_batch(two_bank, np.zeros((0, 2)))
+    assert [a.shape for a in out] == [(0, 2)] * 4
+
+
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from(ALPHAS))
 def test_monotonicity_in_endowments(seed, alpha):
     rng = np.random.default_rng(seed)

@@ -333,6 +333,111 @@ def test_mc_rejects_negative_atoms(tmp_path, two_bank_csv, capsys):
     assert "atoms" in err["error"]["message"]
 
 
+AFFINE = {"type": "affine", "shift": 0.0, "slope": 3.0}
+LOGNORMAL = {"kind": "lognormal", "mu": -0.5, "sigma2": 1.0}
+
+
+def _model(*maps, dist=LOGNORMAL):
+    return {"maps": list(maps), "dist": dist}
+
+
+# (command, input object, exact stderr message) for exit 4; the command's
+# other operands are the two-bank network, or --paths for simulate
+SCHEMA_ERRORS = [
+    pytest.param(
+        "expect", _model(AFFINE, AFFINE, dist={"kind": "gamma"}),
+        "dist: unknown kind 'gamma'", id="dist-unknown-kind",
+    ),
+    pytest.param(
+        "expect", _model(AFFINE, AFFINE, dist={"kind": "lognormal", "mu": 0.0}),
+        "dist.lognormal: missing key(s) sigma2", id="dist-missing-key",
+    ),
+    pytest.param(
+        "expect", _model(AFFINE, AFFINE, dist={"mu": 0.0}),
+        "dist: expected an object with a 'kind' key", id="dist-no-kind",
+    ),
+    pytest.param(
+        "expect", _model(AFFINE, {"type": "cubic"}),
+        "map: unknown type 'cubic'", id="map-unknown-type",
+    ),
+    pytest.param(
+        "expect", _model(AFFINE, {"type": ["affine"]}),
+        "map: unknown type ['affine']", id="map-type-not-a-string",
+    ),
+    pytest.param(
+        "expect", _model(AFFINE, {"type": "affine", "shift": 0.0}),
+        "map.affine: missing key(s) slope", id="map-missing-key",
+    ),
+    pytest.param(
+        "expect", _model(AFFINE, {"type": "power", "coef": 1.0, "exponent": 1.0, "bogus": 1}),
+        "map.power: unknown key(s) bogus", id="map-unknown-key",
+    ),
+    pytest.param(
+        "bounds", {"marginals": [{"kind": "pointmass", "atoms": [1.0], "probs": [1.0]}]},
+        "marginal: unknown kind 'pointmass'", id="marginal-unknown-kind",
+    ),
+    pytest.param(
+        "bounds", {"marginals": [{"kind": "finite", "atoms": [1.0]}]},
+        "marginal.finite: missing key(s) probs", id="marginal-missing-key",
+    ),
+    pytest.param(
+        "bounds", {"marginals": [{"kind": "lognormal", "mu": 1.0, "sigma": 1.0}]},
+        "marginal.lognormal: missing key(s) sigma2", id="marginal-lognormal-missing-key",
+    ),
+    pytest.param(
+        "simulate", {"kind": "capm"},
+        "scenario.capm: missing key(s) params", id="scenario-missing-key",
+    ),
+    pytest.param(
+        "simulate", {"kind": "finite-support", "atoms": [[1.0]], "probs": [1.0], "extra": 1},
+        "scenario.finite-support: unknown key(s) extra", id="scenario-unknown-key",
+    ),
+    pytest.param(
+        "simulate", {"kind": "bogus"},
+        "scenario: unknown kind 'bogus'", id="scenario-unknown-kind",
+    ),
+    pytest.param(
+        "simulate", {"model": {}},
+        "scenario: expected an object with a 'kind' key", id="scenario-no-kind",
+    ),
+    # malformed nested objects: these used to exit 1 as internal errors
+    pytest.param(
+        "simulate", {"kind": "comonotonic-factor", "model": 5},
+        "factor model: expected a JSON object", id="model-not-an-object",
+    ),
+    pytest.param(
+        "simulate", {"kind": "capm", "params": "x"},
+        "capm params: expected a JSON object", id="capm-params-not-an-object",
+    ),
+    pytest.param(
+        "expect", _model(AFFINE, {"type": "affine", "shift": 0, "slope": [1]}),
+        "map.affine: slope must be a number, got [1]", id="map-slope-not-a-number",
+    ),
+    pytest.param(
+        "simulate",
+        {
+            "kind": "capm",
+            "params": {"r": None, "T": 1.0, "sigma_M": 0.2, "beta": [1.0], "gamma": [0.0], "s": [1.0]},
+        },
+        "capm params: r must be a number, got None", id="capm-rate-not-a-number",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, obj, message", SCHEMA_ERRORS)
+def test_schema_error_messages(tmp_path, two_bank_csv, capsys, command, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    if command == "simulate":
+        argv = [command, str(path), "--paths", "3"]
+    else:
+        argv = [command, two_bank_csv, str(path)]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {"type": "schema", "message": message}
+
+
 def test_json_schema_envelope(two_bank_csv, bench_model):
     proc = run_cli("q-star", two_bank_csv, bench_model, "--format", "json", check=True)
     doc = json.loads(proc.stdout)
@@ -383,7 +488,37 @@ GOLDEN_INPUTS = {
             {"kind": "tabulated-quantile", "u": [0.2, 0.6, 0.8], "x": [2.0, 4.0, 7.0]},
         ],
     },
+    "model.json": GOLDEN_LOGNORMAL_MODEL,
+    "model_power.json": {
+        "maps": [
+            {"type": "power", "coef": 2.5, "exponent": 0.8, "shift": 0.5},
+            {"type": "power", "coef": 4.0, "exponent": 1.3},
+        ],
+        "dist": {"kind": "lognormal", "mu": -0.5, "sigma2": 1.0},
+    },
+    "scen_factor.json": {"kind": "comonotonic-factor", "model": GOLDEN_LOGNORMAL_MODEL},
+    "scen_capm.json": {
+        "kind": "capm",
+        "params": {**GOLDEN_PARAMS, "mu_M": 0.06},
+        "measure": "P",
+    },
+    "scen_copula.json": {
+        "kind": "gaussian-copula-lognormal",
+        "mu": [1.0, 1.2],
+        "sigma": [0.5, 0.4],
+        "corr": [[1.0, 0.3], [0.3, 1.0]],
+    },
+    "scen_finite.json": {
+        "kind": "finite-support",
+        "atoms": [[1.0, 2.0], [5.0, 6.0], [9.0, 1.0]],
+        "probs": [0.3, 0.5, 0.2],
+    },
 }
+
+GOLDEN_SHEETS = (
+    "bank_id,total_assets,capital,interbank_liabilities\n"
+    "A,120,9,20\nB,80,5,15\nC,300,24,40\nD,45,3,9\nE,150,12,30\nF,60,4,6\n"
+)
 
 # sha256 of stdout: any change in the arithmetic behind these commands,
 # down to the last bit of one value, shows; {dir} holds the inputs
@@ -429,6 +564,51 @@ GOLDEN_CALLS = [
         "f8927f9ce94d1f4cd77208ff1d72c57d26a98e6dd9280454a1d5f476fd274a91",
         id="price-lower-force-partial",
     ),
+    pytest.param(
+        "clear {dir}/net.csv --x 2.5,3",
+        "b8cf527e31534cc2d0375ca10bbec3ff704bfcc5125167ca4974f6083b253f08",
+        id="clear",
+    ),
+    pytest.param(
+        "clear {dir}/partial.csv --x 1,4 --format json",
+        "be918c8f20e6d9a9b7e3764898e3e8559b97f56a0053ab8294cd6e798c38ef16",
+        id="clear-partial-json",
+    ),
+    pytest.param(
+        "q-star {dir}/net.csv {dir}/model.json --format json",
+        "37c48af73277e25f89085f4fe74fbc62e4da623ad87ea5bfcc63d99e0b95f7bf",
+        id="q-star-json",
+    ),
+    pytest.param(
+        "expect {dir}/net.csv {dir}/model_power.json",
+        "e1c403e2b3a514a208bff8f9b351ca79f5cc6149d365167cde17db9aacad1183",
+        id="expect-power",
+    ),
+    pytest.param(
+        "calibrate {dir}/sheets.csv --seed 3",
+        "e033567bb1b6fd82883e109cf4f38d1e58d698e11404f276a56c3393f4cc9b9f",
+        id="calibrate-6-banks",
+    ),
+    pytest.param(
+        "simulate {dir}/scen_factor.json --paths 5 --offset 3 --seed 2",
+        "da5a72ec1fd3266dd8ac666a27fc624e96e4ac30ed277aa15ce3de2edde7f01f",
+        id="simulate-factor-offset",
+    ),
+    pytest.param(
+        "mc {dir}/net.csv {dir}/scen_capm.json --paths 400 --seed 5",
+        "917afc5fbb717546d5af65ec8abf2e70e95c411a672bd53d2196d4cf24d68dfc",
+        id="mc-capm-P",
+    ),
+    pytest.param(
+        "mc {dir}/net.csv {dir}/scen_copula.json --paths 400 --seed 5",
+        "36bfce89e5fddcadb71b0151fb9d881f5437993c441af8f4ae5a32e00d739731",
+        id="mc-copula",
+    ),
+    pytest.param(
+        "mc {dir}/partial.csv {dir}/scen_finite.json --paths 400 --seed 5",
+        "97ad5c2533f02acb7cd8182a2cc3416a4293d5e13c57119d90ba831e57bc0683",
+        id="mc-finite-support",
+    ),
 ]
 
 
@@ -436,6 +616,7 @@ GOLDEN_CALLS = [
 def golden_dir(tmp_path):
     for name, obj in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(obj))
+    (tmp_path / "sheets.csv").write_text(GOLDEN_SHEETS)
     write_network_csv(str(tmp_path / "net.csv"), make_two_bank())
     partial = build_network([[0.0, 7.0, 3.0], [3.0, 0.0, 3.0]], 0.5, 0.7)
     write_network_csv(str(tmp_path / "partial.csv"), partial)
