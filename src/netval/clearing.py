@@ -95,9 +95,11 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     Every row starts from the no-default wealths and adds each bank with
     ``V < -ZERO_TOL`` to its default set until no set changes.  Sets only
     grow, so there are at most ``n + 1`` rounds; ``rounds`` counts the
-    affine solves the slowest row went through.  Rows are grouped by their
-    current default pattern each round so the linear system is factored
-    once per distinct pattern, not once per row.
+    affine solves the slowest row went through.  Each round the changed
+    rows are keyed by default pattern, packed little-endian into
+    ``ceil(n/64)`` uint64 words; one stable ``lexsort`` brings equal keys
+    together with rows in ascending order, groups are cut where the sorted
+    key changes, and each group's linear system is factored once.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
@@ -124,10 +126,13 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
         Z = Z_new
         rounds += 1
         idx = np.flatnonzero(changed)
-        patterns, inverse = np.unique(Z[idx], axis=0, return_inverse=True)
-        for k in range(patterns.shape[0]):
-            rows = idx[inverse == k]
-            D, d = affine(patterns[k].tobytes())
+        keys = np.zeros((idx.size, 8 * -(-net.n // 64)), dtype=np.uint8)
+        keys[:, : -(-net.n // 8)] = np.packbits(Z[idx], axis=1, bitorder="little")
+        keys = keys.view(np.uint64)
+        order = np.lexsort(keys.T)
+        cuts = np.flatnonzero(np.any(np.diff(keys[order], axis=0), axis=1)) + 1
+        for rows in np.split(idx[order], cuts):
+            D, d = affine(Z[rows[0]].tobytes())
             V[rows] = X[rows] @ D.T - d
 
     p = np.clip(net.p_bar[None, :] - np.maximum(-V, 0.0), 0.0, net.p_bar[None, :])

@@ -174,6 +174,13 @@ def _num(obj: dict, key: str, what: str, default=None) -> float:
         raise SchemaError(f"{what}: {key} must be a number, got {value!r}") from exc
 
 
+def _nums(obj: dict, key: str, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: {key} must be a list of numbers, got {obj[key]!r}") from exc
+
+
 def _tagged(obj, what: str, tag: str, table: dict):
     """Parse a JSON object whose ``tag`` key selects an entry of ``table``.
 
@@ -197,8 +204,10 @@ _DISTS = {
         ("mu", "sigma2"),
         (),
     ),
-    "pointmass": (lambda o, w: PointMass(o["atoms"], o["probs"]), ("atoms", "probs"), ()),
-    "empirical": (lambda o, w: Empirical(o["sample"]), ("sample",), ()),
+    "pointmass": (
+        lambda o, w: PointMass(_nums(o, "atoms", w), _nums(o, "probs", w)), ("atoms", "probs"), ()
+    ),
+    "empirical": (lambda o, w: Empirical(_nums(o, "sample", w)), ("sample",), ()),
     "uniform": (lambda o, w: Uniform01(), (), ()),
 }
 
@@ -215,14 +224,16 @@ _MAPS = {
         ("coef", "exponent"),
         ("shift",),
     ),
-    "tabulated": (lambda o, w: TabulatedMap(o["q"], o["x"]), ("q", "x"), ()),
+    "tabulated": (lambda o, w: TabulatedMap(_nums(o, "q", w), _nums(o, "x", w)), ("q", "x"), ()),
 }
 
 # marginals share the distribution parsers under their own kind names
 _MARGINALS = {
     "lognormal": _DISTS["lognormal"],
     "finite": _DISTS["pointmass"],
-    "tabulated-quantile": (lambda o, w: TabulatedQuantile(o["u"], o["x"]), ("u", "x"), ()),
+    "tabulated-quantile": (
+        lambda o, w: TabulatedQuantile(_nums(o, "u", w), _nums(o, "x", w)), ("u", "x"), ()
+    ),
 }
 
 
@@ -243,16 +254,20 @@ def _capm_from_json(obj) -> CapmParams:
         r=_num(obj, "r", what),
         T=_num(obj, "T", what),
         sigma_M=_num(obj, "sigma_M", what),
-        beta=obj["beta"],
-        gamma=obj["gamma"],
-        s=obj["s"],
-        sigma=obj.get("sigma"),
+        beta=_nums(obj, "beta", what),
+        gamma=_nums(obj, "gamma", what),
+        s=_nums(obj, "s", what),
+        sigma=None if obj.get("sigma") is None else _nums(obj, "sigma", what),
         q0=_num(obj, "q0", what, 1.0),
         mu_M=None if obj.get("mu_M") is None else _num(obj, "mu_M", what),
     )
 
 
-# a scenario is the JSON object itself, with its model or params parsed
+def _lists(*keys):
+    return lambda o, w: dict(o, **{k: _nums(o, k, w) for k in keys})
+
+
+# a scenario is the JSON object itself, with its model, params or lists parsed
 _SCENARIOS = {
     "comonotonic-factor": (
         lambda o, w: dict(o, model=_factor_model_from_json(o["model"])),
@@ -264,8 +279,8 @@ _SCENARIOS = {
         ("params",),
         ("measure",),
     ),
-    "gaussian-copula-lognormal": (lambda o, w: o, ("mu", "sigma", "corr"), ()),
-    "finite-support": (lambda o, w: o, ("atoms", "probs"), ()),
+    "gaussian-copula-lognormal": (_lists("mu", "sigma", "corr"), ("mu", "sigma", "corr"), ()),
+    "finite-support": (_lists("atoms", "probs"), ("atoms", "probs"), ()),
 }
 
 

@@ -1,8 +1,8 @@
-"""Independent validators: default-region enumeration and Monte Carlo.
+"""Validators: default-region enumeration, Monte Carlo and bisection.
 
-Everything here deliberately avoids the closed forms elsewhere in the
-package, so agreement between the two paths is evidence of correctness
-rather than shared bugs.
+They avoid the comonotonic closed forms (threshold ladder, expectations) but
+share the clearing kernel: regions are built from ``delta_matrix`` and
+``delta_vector``, and the rest calls ``greatest_clearing`` or its batch form.
 """
 
 from __future__ import annotations

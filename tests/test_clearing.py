@@ -1,3 +1,6 @@
+import hashlib
+import importlib.resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +8,16 @@ from hypothesis import strategies as st
 
 from helpers import appb_p02, appb_p10, make_cycle, random_net
 from netval import (
+    CapmParams,
     build_network,
+    calibrated_network,
     delta_matrix,
     delta_vector,
     greatest_clearing,
     greatest_clearing_batch,
     psi_star,
+    read_balance_sheets_csv,
+    simulate,
 )
 from netval.clearing import ZERO_TOL
 
@@ -280,3 +287,112 @@ def test_cross_ownership_shares_equity():
     b = greatest_clearing(cross, x)
     # bank 2 holds 40% of solvent bank 1's equity, so its wealth rises
     assert a.z[0] == 0 and b.V[1] > a.V[1]
+
+
+# ---------------------------------------------------------------------------
+# an oracle that shares no code with the kernel
+
+
+def picard_clearing(net, x):
+    """Greatest clearing wealths by iterating ``psi_star`` to its fixed point.
+
+    The iteration starts from the no-default wealths, an upper bound of every
+    fixed point when ``Gamma = 0``, and decreases monotonically to the
+    greatest one.  It never builds or solves the linear system of a default
+    set.
+    """
+    V = x + net.Pi.T @ net.p_bar - net.p_bar
+    tol = 1e-13 * float(net.p_bar.max())
+    for _ in range(100_000):
+        W = psi_star(net, x, V)
+        if np.max(np.abs(W - V)) <= tol:
+            return W
+        V = W
+    raise AssertionError("Picard iteration did not converge")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 5, 8, 63, 64, 65, 70]),
+    alpha_x=st.sampled_from([1.0, 0.7, 0.3]),
+    alpha_L=st.sampled_from([1.0, 0.6, 0.2]),
+)
+def test_batch_matches_picard_oracle(seed, n, alpha_x, alpha_L):
+    # Gamma = 0 only: with cross-holdings the kernel can keep a bank in its
+    # default set after its wealth comes back nonnegative
+    rng = np.random.default_rng(seed)
+    L = random_net(rng, n=n).L
+    net = build_network(L, alpha_x, alpha_L)
+    X = rng.uniform(0.0, 1.5 * net.p_bar, (16, n))
+    # rows that cannot default below the last four banks share their low
+    # key bits, so for n > 64 their patterns differ only in the second word
+    lo = max(n - 4, 0)
+    X[:12, :lo] = 2.0 * net.p_bar[:lo]
+    X[:12, lo:] *= 0.3
+    V, _, _, Z = greatest_clearing_batch(net, X)
+    scale = float(net.p_bar.max())
+    for k in range(X.shape[0]):
+        W = picard_clearing(net, X[k])
+        assert np.array_equal(Z[k], (W < -ZERO_TOL).astype(int))
+        assert np.max(np.abs(V[k] - W)) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# pinned kernel outputs: sha256 of (V, p, E, Z) on fixed draws
+
+
+def _copula_3():
+    # 20k rows, 3 rounds: groups of thousands of rows and one single-row group
+    net = random_net(np.random.default_rng(24), n=3, alpha=0.5)
+    spec = {
+        "kind": "gaussian-copula-lognormal",
+        "mu": [0.0, -0.3, 0.2],
+        "sigma": [0.5, 0.8, 0.6],
+        "corr": [[1.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.0]],
+    }
+    return net, simulate(spec, 20_000, 17).X
+
+
+def _fixture_87():
+    # two-word keys and one row per pattern in every round
+    fixture = importlib.resources.files("netval") / "data" / "synthetic_sheets_87.csv"
+    net, calib = calibrated_network(read_balance_sheets_csv(str(fixture)), 0.5, 0.5, seed=3)
+    rng = np.random.default_rng(5)
+    params = CapmParams(
+        r=0.02,
+        T=1.0,
+        sigma_M=0.2,
+        beta=rng.uniform(0.6, 1.2, net.n),
+        gamma=rng.uniform(0.1, 0.4, net.n),
+        s=calib.s,
+    )
+    return net, simulate({"kind": "capm", "params": params}, 500, 11).X
+
+
+def _wide(n, seed):
+    # 64 banks fill one key word exactly; bank 65 spills into a second word.
+    # In half the rows banks 1-62 cannot default, so patterns differ only
+    # in the banks next to the word boundary.
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, n=n, alpha=0.5)
+    X = rng.uniform(0.0, 1.5 * net.p_bar, (300, n))
+    X[:150, :62] = 2.0 * net.p_bar[:62]
+    return net, X
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (_copula_3, "736dcbe7e1d5d42c11e0c4f743e6cada89fc1af73372dfa96d395f1d63ed8dcc"),
+        (_fixture_87, "d5066667c05162694679a645330776a36672f0f6b8827616e0c205b9729fc311"),
+        (lambda: _wide(64, 10), "b52c52bbe44f33f3748a6fee2860b8cf0826577196d6cebbbf85837f06d36163"),
+        (lambda: _wide(65, 6), "5ba234b5dec438ff063e51c309eddc6426e17b41d08e9c380b7eb9ef8dc36c21"),
+    ],
+    ids=["copula-3", "fixture-87", "net-64", "net-65"],
+)
+def test_batch_outputs_pinned(make, digest):
+    net, X = make()
+    h = hashlib.sha256()
+    for a in greatest_clearing_batch(net, X):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest

@@ -421,6 +421,25 @@ SCHEMA_ERRORS = [
         },
         "capm params: r must be a number, got None", id="capm-rate-not-a-number",
     ),
+    # list-valued fields: these used to exit 1 as internal errors
+    pytest.param(
+        "price",
+        {"r": 0.02, "T": 1.0, "sigma_M": 0.2, "beta": ["a", 1], "gamma": [0.1] * 2, "s": [1] * 2},
+        "capm params: beta must be a list of numbers, got ['a', 1]",
+        id="capm-beta-not-numbers",
+    ),
+    pytest.param(
+        "expect",
+        _model(AFFINE, AFFINE, dist={"kind": "pointmass", "atoms": "x", "probs": [1.0]}),
+        "dist.pointmass: atoms must be a list of numbers, got 'x'",
+        id="pointmass-atoms-not-numbers",
+    ),
+    pytest.param(
+        "simulate",
+        {"kind": "gaussian-copula-lognormal", "mu": [1, "a"], "sigma": [1, 1], "corr": [[1]] * 2},
+        "scenario.gaussian-copula-lognormal: mu must be a list of numbers, got [1, 'a']",
+        id="copula-mu-not-numbers",
+    ),
 ]
 
 
