@@ -65,28 +65,38 @@ def _system_matrix(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
     return np.eye(net.n) - b[:, None] * inner
 
 
-def _solve(net: FinancialNetwork, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # one solve per right-hand side: solving both at once changes the last
-    # bits of the intercept
+def _solve(net: FinancialNetwork, z: np.ndarray, *rhs: np.ndarray) -> list:
+    # one solve per right-hand side on one M: a joint solve moves the intercept's last bits
+    M = _system_matrix(net, z)
     try:
-        return np.linalg.solve(_system_matrix(net, z), rhs)
+        return [np.linalg.solve(M, r) for r in rhs]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(
             "internal invariant violation: clearing system is singular"
         ) from exc
 
 
+def _external_share(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
+    # a_x(z): each bank keeps all, or alpha_x, of its external assets
+    return 1.0 - (1.0 - net.alpha_x) * z.astype(float)
+
+
+def _intercept_rhs(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
+    # c(z) in V = M(z)^{-1} (a_x(z) * x - c(z))
+    b = 1.0 - (1.0 - net.alpha_L) * z.astype(float)
+    return net.p_bar - b * (net.Pi.T @ net.p_bar)
+
+
 def delta_matrix(net: FinancialNetwork, z) -> np.ndarray:
     """Sensitivity of clearing wealths to endowments for default set ``z``."""
     z = np.asarray(z)
-    return _solve(net, z, np.eye(net.n) * (1.0 - (1.0 - net.alpha_x) * z.astype(float)))
+    return _solve(net, z, np.eye(net.n) * _external_share(net, z))[0]
 
 
 def delta_vector(net: FinancialNetwork, z) -> np.ndarray:
     """Intercept of the affine wealth map for default set ``z``."""
     z = np.asarray(z)
-    b = 1.0 - (1.0 - net.alpha_L) * z.astype(float)
-    return _solve(net, z, net.p_bar - b * (net.Pi.T @ net.p_bar))
+    return _solve(net, z, _intercept_rhs(net, z))[0]
 
 
 def _clear(net: FinancialNetwork, X: np.ndarray):
@@ -98,8 +108,13 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     affine solves the slowest row went through.  Each round the changed
     rows are keyed by default pattern, packed little-endian into
     ``ceil(n/64)`` uint64 words; one stable ``lexsort`` brings equal keys
-    together with rows in ascending order, groups are cut where the sorted
-    key changes, and each group's linear system is factored once.
+    together with rows in ascending order, and groups are cut where the
+    sorted key changes.  A group of at most ``n`` rows whose pattern has
+    no cached map is solved directly: one factorization with the group's
+    rows as right-hand sides, nothing kept.  A larger group forms the
+    affine map ``(Delta(z), delta(z))``, caches it for later rounds and
+    applies it by one matrix product, so the cache holds only maps of
+    groups with more than ``n`` rows.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
@@ -107,15 +122,18 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
 
     cache = {}
 
-    def affine(zkey):
+    def wealths(z, Xg):
+        zkey = z.tobytes()
         if zkey not in cache:
-            z = np.frombuffer(zkey, dtype=bool).copy()
-            cache[zkey] = (delta_matrix(net, z), delta_vector(net, z))
-        return cache[zkey]
+            a_x, c = _external_share(net, z), _intercept_rhs(net, z)
+            if Xg.shape[0] <= net.n:
+                return _solve(net, z, (Xg * a_x - c).T)[0].T
+            cache[zkey] = _solve(net, z, np.eye(net.n) * a_x, c)
+        D, d = cache[zkey]
+        return Xg @ D.T - d
 
     Z = np.zeros((m, net.n), dtype=bool)
-    D0, d0 = affine(np.zeros(net.n, dtype=bool).tobytes())
-    V = X @ D0.T - d0
+    V = wealths(np.zeros(net.n, dtype=bool), X)
     rounds = 1
 
     for _ in range(net.n + 1):
@@ -132,8 +150,7 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
         order = np.lexsort(keys.T)
         cuts = np.flatnonzero(np.any(np.diff(keys[order], axis=0), axis=1)) + 1
         for rows in np.split(idx[order], cuts):
-            D, d = affine(Z[rows[0]].tobytes())
-            V[rows] = X[rows] @ D.T - d
+            V[rows] = wealths(Z[rows[0]], X[rows])
 
     p = np.clip(net.p_bar[None, :] - np.maximum(-V, 0.0), 0.0, net.p_bar[None, :])
     E = np.maximum(V, 0.0)

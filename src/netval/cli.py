@@ -176,9 +176,12 @@ def _num(obj: dict, key: str, what: str, default=None) -> float:
 
 def _nums(obj: dict, key: str, what: str) -> np.ndarray:
     try:
-        return np.asarray(obj[key], dtype=float)
+        values = np.asarray(obj[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what}: {key} must be a list of numbers, got {obj[key]!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"{what}: {key} must be a list of finite numbers, got {obj[key]!r}")
+    return values
 
 
 def _tagged(obj, what: str, tag: str, table: dict):

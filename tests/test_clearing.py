@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,9 +385,9 @@ def _wide(n, seed):
     "make, digest",
     [
         (_copula_3, "736dcbe7e1d5d42c11e0c4f743e6cada89fc1af73372dfa96d395f1d63ed8dcc"),
-        (_fixture_87, "d5066667c05162694679a645330776a36672f0f6b8827616e0c205b9729fc311"),
-        (lambda: _wide(64, 10), "b52c52bbe44f33f3748a6fee2860b8cf0826577196d6cebbbf85837f06d36163"),
-        (lambda: _wide(65, 6), "5ba234b5dec438ff063e51c309eddc6426e17b41d08e9c380b7eb9ef8dc36c21"),
+        (_fixture_87, "abf5c00c44655fef5aadfad6842081fd276f29c49537525959f455ebe655107c"),
+        (lambda: _wide(64, 10), "ecb513d531dbd81fd3a4b8d0faa023973a5c75ed27c8ea96e42b024f60f5594b"),
+        (lambda: _wide(65, 6), "de8ca2cbadc5eb0d0b931c9390544b613224f2d2a330b7b1f07e36094bd8c26f"),
     ],
     ids=["copula-3", "fixture-87", "net-64", "net-65"],
 )
@@ -396,3 +397,57 @@ def test_batch_outputs_pinned(make, digest):
     for a in greatest_clearing_batch(net, X):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == digest
+
+
+def _repeated(make, counts):
+    # the first len(counts) rows of a batch, row i repeated counts[i] times:
+    # equal rows share every round's pattern group
+    net, X = make()
+    return net, np.repeat(X[: len(counts)], counts, axis=0)
+
+
+def _small_partial():
+    # alpha_x != alpha_L, both below 1
+    rng = np.random.default_rng(12)
+    L = random_net(rng, n=4).L
+    return build_network(L, 0.3, 0.6), rng.uniform(0.0, 0.8, (3, 4)) * L.sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "make, sizes",
+    [
+        (_fixture_87, None),
+        (lambda: _repeated(_fixture_87, [1, 5, 100]), [1, 5, 100]),
+        (lambda: _repeated(_small_partial, [1, 3, 9]), [1, 3, 9]),
+    ],
+    ids=["fixture-87", "fixture-87-repeated", "net-4-repeated"],
+)
+def test_batch_matches_own_affine_map(make, sizes):
+    # groups of one row and of at most n rows are solved directly, larger
+    # groups through the cached map; every row must sit on the affine map
+    # of its own final default pattern
+    net, X = make()
+    V, _, _, Z = greatest_clearing_batch(net, X)
+    patterns, counts = np.unique(Z, axis=0, return_counts=True)
+    if sizes is None:
+        assert counts.max() == 1
+    else:
+        assert sorted(counts) == sizes
+    maps = {z.tobytes(): (delta_matrix(net, z), delta_vector(net, z)) for z in patterns}
+    tol = 1e-12 * float(net.p_bar.max())
+    for x, v, z in zip(X, V, Z):
+        D, d = maps[z.tobytes()]
+        assert np.max(np.abs(v - (D @ x - d))) <= tol
+
+
+def test_batch_memory_stays_bounded():
+    # one row per default pattern: keeping an 87 x 87 map per pattern
+    # would peak at about 72 MiB
+    net, X = _fixture_87()
+    tracemalloc.start()
+    try:
+        greatest_clearing_batch(net, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
