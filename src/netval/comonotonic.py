@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import delta_matrix, delta_vector
+from .clearing import _external_share, _intercept_rhs, _solve
 from .network import FinancialNetwork
 
 BISECT_REL_TOL = 1e-10
@@ -150,13 +150,21 @@ class LogNormal:
         self.sigma2 = float(sigma2)
         self.sigma = math.sqrt(sigma2)
 
+    def tails(self, c, t) -> np.ndarray:
+        """``norm_cdf((mu + c sigma2 - log t) / sigma)`` at each ``t`` (rows)
+        and exponent ``c`` (columns): ``P(q >= t)`` under the law tilted by
+        ``q**c``, so ``c = 0`` gives the survival function."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        out = np.where(t[:, None] <= 0.0, 1.0, 0.0) * np.ones(c.size)
+        inner = (t > 0.0) & (t < np.inf)
+        logs = np.array([math.log(x) for x in t[inner]])[:, None]
+        out[inner] = norm_cdf((self.mu + c * self.sigma * self.sigma - logs) / self.sigma)
+        return out
+
     def survival(self, t: float) -> float:
         """P(q >= t)."""
-        if t <= 0.0:
-            return 1.0
-        if t == np.inf:
-            return 0.0
-        return float(norm_cdf((self.mu - math.log(t)) / self.sigma))
+        return float(self.tails(0.0, t)[0, 0])
 
     def prob_below(self, t: float) -> float:
         """P(q < t); the distribution has no atoms so this is the CDF."""
@@ -169,17 +177,12 @@ class LogNormal:
         """E[q**c 1{a <= q < b}] in closed form."""
         if a == b:
             return 0.0
-        m, v = self.mu, self.sigma
-        scale = math.exp(c * m + 0.5 * c * c * v * v)
+        upper = self.tails(c, [a, b])[:, 0]
+        return self.moment(c) * float(upper[0] - upper[1])
 
-        def upper_tail(t):
-            if t <= 0.0:
-                return 1.0
-            if t == np.inf:
-                return 0.0
-            return float(norm_cdf((m + c * v * v - math.log(t)) / v))
-
-        return scale * (upper_tail(a) - upper_tail(b))
+    def moment(self, c: float) -> float:
+        """E[q**c]."""
+        return math.exp(c * self.mu + 0.5 * c * c * self.sigma * self.sigma)
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma2)
@@ -429,70 +432,119 @@ class SolvencyThresholds:
         return pos
 
 
-def _affine_rows(model: FactorModel):
-    """(shift, slope) arrays when every map is affine-representable, else None."""
-    shifts, slopes = [], []
+def _map_params(model: FactorModel):
+    """``(shift, coef, exponent, affine)`` arrays when every map is a
+    ``PowerMap`` or an ``AffineMap`` (coef = slope, exponent 1), else None."""
+    rows = []
     for fi in model.f:
         if isinstance(fi, AffineMap):
-            shifts.append(fi.shift)
-            slopes.append(fi.slope)
-        elif isinstance(fi, PowerMap) and fi.exponent in (0.0, 1.0):
-            if fi.exponent == 0.0:
-                shifts.append(fi.shift + fi.coef)
-                slopes.append(0.0)
-            else:
-                shifts.append(fi.shift)
-                slopes.append(fi.coef)
+            rows.append((fi.shift, fi.slope, 1.0, True))
+        elif isinstance(fi, PowerMap):
+            rows.append((fi.shift, fi.coef, fi.exponent, False))
         else:
             return None
-    return np.asarray(shifts), np.asarray(slopes)
+    return tuple(np.array(col) for col in zip(*rows))
 
 
-def _sup_insolvent_affine(a: float, b: float, target: float) -> float:
-    # sup{q >= 0 : a + b q < target}, with sup of the empty set clamped to 0
-    if a >= target:
-        return 0.0
-    if b <= 0.0:
-        return np.inf
-    return (target - a) / b
+def _endowments_at(model: FactorModel, params, q: np.ndarray) -> np.ndarray:
+    """All maps at each factor value of the 1-d ``q``; banks on the last axis.
 
-
-def _sup_insolvent_bisect(g, target: float, hint: float, cap: float = None) -> float:
-    """sup{q in [0, cap] : g(q) < target} for nondecreasing continuous ``g``.
-
-    ``cap`` bounds the factor's support (quantile maps of a uniform
-    factor cannot be evaluated past 1); an uncapped search that never
-    brackets returns inf.
+    With ``params`` from ``_map_params`` this is one array expression with
+    the bits of the maps' own ``__call__``.
     """
-    if g(0.0) >= target:
-        return 0.0
+    if params is None:
+        return model.endowments(q)
+    shift, coef, expo, affine = params
+    qq = q[:, None]
+    with np.errstate(over="ignore"):
+        return shift + coef * np.where(affine, qq, np.power(qq, expo))
+
+
+def _sup_insolvent_bisect(g, target: np.ndarray, hint: float, cap) -> np.ndarray:
+    """sup{q in [0, cap] : g_i(q) < target_i} for every bank ``i`` at once.
+
+    ``g(q, sel)`` evaluates the nondecreasing continuous ``g_i`` of the
+    banks ``sel`` at their own factor values ``q``.  Each bank follows the
+    scalar bracket-and-bisect steps: brackets double from ``hint`` in
+    lockstep, and each bank bisects until its own bracket is below
+    ``BISECT_REL_TOL``.  ``cap`` bounds the factor's support (quantile maps
+    of a uniform factor cannot be evaluated past 1); an uncapped search
+    that never brackets gives inf.
+    """
+    r = target.size
+    sup = np.zeros(r)
     top = np.inf if cap is None else cap
-    probe = g if cap is None else (lambda q: g(min(q, cap - 1e-13)))
-    hi = hint if np.isfinite(hint) and hint > 0.0 else 1.0
-    hi = min(hi, top)
-    g_hi = probe(hi)
+    probe = g if cap is None else (lambda q, sel: g(np.minimum(q, cap - 1e-13), sel))
+    todo = np.flatnonzero(g(np.zeros(r), np.arange(r)) < target)
+    h = min(hint if np.isfinite(hint) and hint > 0.0 else 1.0, top)
+    hi = np.full(r, h)
+    g_todo = probe(hi[todo], todo)
+    keep = g_todo < target[todo]
+    bisect, todo, g_todo = todo[~keep], todo[keep], g_todo[keep]
     expansions = 0
-    while g_hi < target:
-        if hi >= top:
-            return top
-        hi = min(hi * 2.0, top)
-        g_new = probe(hi)
-        if g_new < g_hi - 1e-12 * max(1.0, abs(g_hi)):
+    while todo.size:
+        if h >= top:
+            sup[todo] = top
+            break
+        h = min(h * 2.0, top)
+        g_new = probe(np.full(todo.size, h), todo)
+        if np.any(g_new < g_todo - 1e-12 * np.maximum(1.0, np.abs(g_todo))):
             raise ModelError("endowment map decreased during bracketing")
-        g_hi = g_new
         expansions += 1
         if expansions > 200:
-            return np.inf
-    lo = 0.0
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * max(hi, 1.0):
+            sup[todo] = np.inf
             break
-        mid = 0.5 * (lo + hi)
-        if probe(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        hi[todo] = h
+        keep = g_new < target[todo]
+        bisect = np.concatenate((bisect, todo[~keep]))
+        todo, g_todo = todo[keep], g_new[keep]
+    lo = np.zeros(r)
+    act = bisect
+    for _ in range(BISECT_MAX_ITER):
+        act = act[hi[act] - lo[act] > BISECT_REL_TOL * np.maximum(hi[act], 1.0)]
+        if not act.size:
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        below = probe(mid, act) < target[act]
+        lo[act[below]] = mid[below]
+        hi[act[~below]] = mid[~below]
+    sup[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+    return sup
+
+
+# Largest ||M(z) delta - c(z)||_inf, relative to max(p_bar), that the sweep
+# accepts from its updated inverse before inverting M(z) afresh.
+DRIFT_TOL = 1e-12
+
+
+def _drift(net: FinancialNetwork, z: np.ndarray, d: np.ndarray, c: np.ndarray) -> float:
+    """``||M(z) d - c||_inf / max(p_bar)`` by matrix-vector products."""
+    zf = z.astype(float)
+    b = 1.0 - (1.0 - net.alpha_L) * zf
+    Md = d - b * (net.Pi.T @ (zf * d) + net.Gamma.T @ ((1.0 - zf) * d))
+    return float(np.max(np.abs(Md - c))) / float(net.p_bar.max())
+
+
+def _default_update(net: FinancialNetwork, Minv: np.ndarray, z: np.ndarray, j: int):
+    """``M(z')^{-1}`` from ``Minv = M(z)^{-1}``, where ``z'`` adds bank ``j``.
+
+    Bank ``j``'s column of ``Pi^T diag(z) + Gamma^T diag(1 - z)`` switches
+    from ``Gamma^T`` to ``Pi^T``, and its row of ``M`` is scaled by
+    ``alpha_L``, so ``M(z') = M(z) + U V^T`` with two columns each (one
+    under ``alpha_L = 1``); the Woodbury identity then costs O(n^2).
+    """
+    zf = z.astype(float)
+    zf[j] = 1.0
+    b = 1.0 - (1.0 - net.alpha_L) * zf
+    b[j] = 1.0
+    U = np.zeros((net.n, 2))
+    U[:, 0] = -b * (net.Pi[j] - net.Gamma[j])
+    U[j, 1] = 1.0 - net.alpha_L
+    row_j = net.Pi[:, j] * zf + net.Gamma[:, j] * (1.0 - zf)
+    A = Minv @ U
+    VtMinv = np.vstack((Minv[j], row_j @ Minv))
+    C = np.eye(2) + np.array([A[j], row_j @ A])
+    return Minv - A @ np.linalg.solve(C, VtMinv)
 
 
 def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyThresholds:
@@ -500,46 +552,68 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
 
     At each step the candidate threshold of a still-solvent bank ``i`` is
     the supremum of factor values keeping it insolvent given the current
-    default set; the bank with the largest candidate defaults next.  The
-    running minimum with the previous threshold handles defaults triggered
-    jointly by a predecessor's failure.
+    default set; the bank with the largest candidate (the lowest index
+    among ties) defaults next.  The running minimum with the previous
+    threshold handles defaults triggered jointly by a predecessor's
+    failure.  Affine maps give the candidates in closed form; otherwise
+    all still-solvent banks are bisected together.
+
+    The sweep carries ``M(z)^{-1}`` instead of factoring ``M(z)`` anew: a
+    default changes one row and one column of ``M``, a rank-two update
+    (Woodbury), so a step costs O(n^2).  Each rung is
+    ``Delta_k = M^{-1} diag(a_x(z))`` and ``delta_k = M^{-1} c(z)``.  A
+    drift guard checks ``||M(z) delta_k - c(z)||_inf`` on every step and
+    inverts ``M(z)`` afresh when it passes ``DRIFT_TOL * max(p_bar)``.
     """
     if model.n != net.n:
         raise ModelError(f"model has {model.n} maps but network has {net.n} banks")
     n = net.n
-    affine = _affine_rows(model)
+    params = _map_params(model)
+    affine = None
+    if params is not None and np.all((params[2] == 0.0) | (params[2] == 1.0)):
+        shift, coef, expo = params[:3]
+        affine = (shift + np.where(expo == 0.0, coef, 0.0), np.where(expo == 1.0, coef, 0.0))
     cap = 1.0 if isinstance(model.dist, Uniform01) else None
 
     z = np.zeros(n, dtype=bool)
     q_star = np.empty(n)
     order = np.empty(n, dtype=int)
-    ladder = [(delta_matrix(net, z), delta_vector(net, z))]
+    ladder = []
+    Minv = _solve(net, z, np.eye(n))[0]
+    remaining = np.arange(n)
     q_prev = np.inf
 
-    remaining = list(range(n))
-    for k in range(n):
-        D, d = ladder[-1]
-        sups = {}
-        for i in remaining:
-            if affine is not None:
-                a = float(D[i] @ affine[0])
-                b = float(D[i] @ affine[1])
-                sups[i] = _sup_insolvent_affine(a, b, float(d[i]))
-            else:
-                row = D[i]
+    for k in range(n + 1):
+        c = _intercept_rhs(net, z)
+        d = Minv @ c
+        if _drift(net, z, d, c) > DRIFT_TOL:
+            Minv = _solve(net, z, np.eye(n))[0]
+            d = Minv @ c
+        D = Minv * _external_share(net, z)
+        ladder.append((D, d))
+        if k == n:
+            break
+        target = d[remaining]
+        if affine is not None:
+            a, b = (D @ affine[0])[remaining], (D @ affine[1])[remaining]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sups = np.where(a >= target, 0.0, np.where(b <= 0.0, np.inf, (target - a) / b))
+        else:
+            rows = D[remaining]
 
-                def g(q, row=row):
-                    return float(row @ np.array([fi(q) for fi in model.f]))
+            def g(q, sel, rows=rows):
+                X = _endowments_at(model, params, q)
+                return (rows[sel][:, None, :] @ X[:, :, None])[:, 0, 0]
 
-                sups[i] = _sup_insolvent_bisect(g, float(d[i]), q_prev, cap)
-        pick = max(remaining, key=lambda i: (sups[i], -i))
-        q_k = min(q_prev, sups[pick])
+            sups = _sup_insolvent_bisect(g, target, q_prev, cap)
+        at = int(np.argmax(sups))
+        pick = int(remaining[at])
+        q_k = min(q_prev, float(sups[at]))
         q_star[pick] = q_k
         order[k] = pick
-        remaining.remove(pick)
-        z = z.copy()
+        remaining = np.delete(remaining, at)
+        Minv = _default_update(net, Minv, z, pick)
         z[pick] = True
-        ladder.append((delta_matrix(net, z), delta_vector(net, z)))
         q_prev = q_k
 
     return SolvencyThresholds(q_star=q_star, order=order, ladder=tuple(ladder))
@@ -547,6 +621,33 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
 
 # ---------------------------------------------------------------------------
 # Expected values
+
+
+def _interval_moments(model: FactorModel, qs: np.ndarray):
+    """``P(I_k)`` and ``E[f_i(q) 1{q in I_k}]`` over ``I_k = [qs[k+1], qs[k])``.
+
+    A lognormal factor with affine or power maps takes the closed form of
+    ``partial_expectation`` as array expressions, one tail per distinct
+    exponent; anything else calls ``partial_expectation`` per interval and
+    map.  Empty intervals are left to the caller.
+    """
+    params = _map_params(model)
+    dist = model.dist
+    if isinstance(dist, LogNormal) and params is not None:
+        shift, coef, expo, _ = params
+        expos, col = np.unique(expo, return_inverse=True)
+        surv = dist.tails(0.0, qs)[:, 0]
+        tails = dist.tails(expos, qs)
+        prob = surv[1:] - surv[:-1]
+        power = np.array([dist.moment(c) for c in expos]) * (tails[1:] - tails[:-1])
+        return prob, shift * prob[:, None] + coef * power[:, col]
+    a, b = qs[1:], qs[:-1]
+    pe = np.zeros((a.size, model.n))
+    prob = np.zeros(a.size)
+    for k in np.flatnonzero(a < b):
+        prob[k] = dist.prob_interval(a[k], b[k])
+        pe[k] = [partial_expectation(dist, fi, a[k], b[k])[1] for fi in model.f]
+    return prob, pe
 
 
 @dataclass(frozen=True)
@@ -574,18 +675,12 @@ def expected_values(
     th = thresholds if thresholds is not None else solvency_thresholds(net, model)
     n = net.n
     qs = th.sorted_with_sentinels()
+    prob, pe = _interval_moments(model, qs)
 
     terms = np.zeros((n + 1, n))
-    for k in range(n + 1):
-        a, b = qs[k + 1], qs[k]
-        if not (a < b):
-            continue
+    for k in np.flatnonzero(qs[1:] < qs[:-1]):
         D, d = th.ladder[k]
-        prob = model.dist.prob_interval(a, b)
-        pe = np.array(
-            [partial_expectation(model.dist, fi, a, b)[1] for fi in model.f]
-        )
-        terms[k] = D @ pe - d * prob
+        terms[k] = D @ pe[k] - d * prob[k]
 
     pos = th.position()
     cumulative = np.vstack([np.zeros(n), np.cumsum(terms, axis=0)])

@@ -565,7 +565,7 @@ GOLDEN_SHEETS = (
 GOLDEN_CALLS = [
     pytest.param(
         "bounds {dir}/net.csv {dir}/bounds_lognormal.json",
-        "a82e340deb7dd352892493e65fcc60b148ca0fa21bdb26e9877d2269a4a37db4",
+        "d18478c01485c5b38cee4edcc40a0095bc3e8ff243c2bd6f32b43d8d3d767488",
         id="bounds-lognormal-conditional",
     ),
     pytest.param(
@@ -621,7 +621,7 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "expect {dir}/net.csv {dir}/model_power.json",
-        "e1c403e2b3a514a208bff8f9b351ca79f5cc6149d365167cde17db9aacad1183",
+        "2937ac3c37040ae81c9d7d75139b09e55800fcc366873aec24424376b0414be6",
         id="expect-power",
     ),
     pytest.param(

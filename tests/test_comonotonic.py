@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,16 +19,21 @@ from netval import (
     TabulatedMap,
     Uniform01,
     build_network,
+    calibrated_network,
     delta_matrix,
     delta_vector,
     exact_expectations,
     expected_values,
     greatest_clearing,
+    make_synthetic_sheets,
     mc_expectations,
     partial_expectation,
     simulate,
     solvency_thresholds,
 )
+from netval import comonotonic
+from netval.capm import CapmParams, _eta_maps
+from netval.clearing import _intercept_rhs
 from netval.comonotonic import norm_cdf
 
 
@@ -238,6 +244,168 @@ def test_uniform_factor_certain_default():
     ev_tab = expected_values(net, tab, thresholds=th_tab)
     assert np.allclose(ev_tab.pd, ev.pd, atol=1e-9)
     assert np.allclose(ev_tab.Ep, ev.Ep, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the rank-two sweep at scale
+
+
+def sweep_case(n, kind):
+    """Random n-bank net with affine maps: full recovery, partial recovery,
+    or cross-holdings (row sums of Gamma in [0.1, 0.5]) with partial recovery."""
+    rng = np.random.default_rng([n, 1])
+    inter = rng.uniform(0.0, 2.0, (n, n))
+    inter[rng.random((n, n)) < 0.35] = 0.0
+    np.fill_diagonal(inter, 0.0)
+    L = np.column_stack([inter, rng.uniform(0.5, 2.0, n)])
+    Gamma = None
+    alpha_x = alpha_L = 1.0
+    if kind == "partial":
+        alpha_x, alpha_L = 0.6, 0.8
+    elif kind == "gamma":
+        alpha_x, alpha_L = 0.9, 0.7
+        G = rng.uniform(0.0, 1.0, (n, n))
+        G[rng.random((n, n)) < 0.7] = 0.0
+        np.fill_diagonal(G, 0.0)
+        rs = G.sum(axis=1)
+        Gamma = G * (rng.uniform(0.1, 0.5, n) / np.where(rs > 0.0, rs, 1.0))[:, None]
+    net = build_network(L, alpha_x, alpha_L, Gamma)
+    shifts = rng.uniform(0.0, 0.3, n) * net.p_bar
+    slopes = rng.uniform(0.4, 1.6, n) * net.p_bar
+    model = FactorModel(
+        [AffineMap(float(a), float(b)) for a, b in zip(shifts, slopes)],
+        LogNormal(-0.1, 0.3),
+    )
+    return net, model
+
+
+# sha256 of the int64 default order from the sweep that solved
+# delta_matrix / delta_vector afresh on every step
+SWEEP_ORDERS = {
+    (30, "full"): "d26aa808253190f5839b41c98073871cc751b58caacce5df72ebf09e8ac42729",
+    (30, "partial"): "b1486f6d29fee69d611a15a5eb8155d5e5f3b548d4fcaaaaa19d28c539bdbc06",
+    (30, "gamma"): "a98d818b101f2c8b495ba957276e18fb897289fede51667a8606fab1cdf65dc2",
+    (87, "full"): "fe2b048f749eed558f4bd4350ed2ea3a1560eef7f2be07005c240d264f71e699",
+    (87, "partial"): "57bce93374c66350aa84d751a99206e39f5f5d5b18effa3a24188d4389e69366",
+    (87, "gamma"): "cfdc2846b83751de1d865ee4789fb2b19cd1295623e9bd69145459df3fcb6dd1",
+}
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    solve = comonotonic._solve
+
+    def counted(*args):
+        calls.append(args[1].copy())
+        return solve(*args)
+
+    monkeypatch.setattr(comonotonic, "_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, kind", sorted(SWEEP_ORDERS))
+def test_rank_two_sweep_matches_fresh_solves(monkeypatch, n, kind):
+    net, model = sweep_case(n, kind)
+    inversions = _count_inversions(monkeypatch)
+    th = solvency_thresholds(net, model)
+    order = hashlib.sha256(th.order.astype("<i8").tobytes()).hexdigest()
+    assert order == SWEEP_ORDERS[(n, kind)], list(th.order)
+    assert len(inversions) == 1  # the drift guard never fired
+    scale = float(net.p_bar.max())
+    z = np.zeros(n, dtype=bool)
+    for k, (D, d) in enumerate(th.ladder):
+        D_ref, d_ref = delta_matrix(net, z), delta_vector(net, z)
+        assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref)), k
+        assert np.max(np.abs(d - d_ref)) <= 1e-12 * scale, k
+        assert comonotonic._drift(net, z, d, _intercept_rhs(net, z)) <= comonotonic.DRIFT_TOL
+        if k < n:
+            z[th.order[k]] = True
+
+
+def test_drift_guard_reinverts(monkeypatch):
+    net, model = sweep_case(30, "gamma")
+    reference = solvency_thresholds(net, model)
+    monkeypatch.setattr(comonotonic, "DRIFT_TOL", -1.0)
+    inversions = _count_inversions(monkeypatch)
+    th = solvency_thresholds(net, model)
+    assert len(inversions) == net.n + 2  # the first inverse, then one per step
+    assert list(th.order) == list(reference.order)
+    assert np.allclose(th.q_star, reference.q_star, rtol=1e-12, atol=0.0)
+    z = np.zeros(net.n, dtype=bool)
+    for k, (D, d) in enumerate(th.ladder):
+        assert np.array_equal(inversions[k + 1], z)
+        assert np.allclose(d, delta_vector(net, z), rtol=0.0, atol=1e-12 * net.p_bar.max())
+        if k < net.n:
+            z[th.order[k]] = True
+
+
+# ---------------------------------------------------------------------------
+# bank-vectorized bisection
+
+
+def test_bisection_thresholds_pinned():
+    # ten calibrated banks with per-bank CAPM power maps, as the closed-form
+    # benchmark's part (b); pinned from a bisection of one bank at a time,
+    # whose bits the joint bisection must keep
+    net, calib = calibrated_network(make_synthetic_sheets(10, seed=7), seed=7)
+    rng = np.random.default_rng(11)
+    params = CapmParams(
+        r=0.02, T=1.0, sigma_M=0.2, beta=rng.uniform(0.5, 1.2, 10),
+        gamma=rng.uniform(0.1, 0.4, 10), s=calib.s,
+    )
+    model = FactorModel(_eta_maps(params.sigma, params), params.factor_dist())
+    th = solvency_thresholds(net, model)
+    assert list(th.order) == [2, 5, 8, 1, 0, 9, 6, 7, 3, 4]
+    digest = hashlib.sha256(th.q_star.tobytes()).hexdigest()
+    assert digest == "d3b783f4de1701d141fa3e7b67b193ac910c318962ad918066e9da37c1fef840"
+
+
+class _RecordingMap(TabulatedMap):
+    seen = []
+
+    def __call__(self, q):
+        self.seen.append(float(np.max(q)))
+        return super().__call__(q)
+
+
+def test_bisection_respects_uniform_cap():
+    # bank 0 never becomes solvent on [0, 1]: its threshold is the cap, and
+    # no map is evaluated at or past 1 while bracketing
+    net = make_two_bank()
+    model = FactorModel(
+        [
+            _RecordingMap([0.0, 0.5, 1.0], [0.0, 1.5, 3.0]),
+            _RecordingMap([0.0, 0.5, 1.0], [0.0, 2.0, 4.0]),
+        ],
+        Uniform01(),
+    )
+    _RecordingMap.seen.clear()
+    th = solvency_thresholds(net, model)
+    assert th.q_star[0] == 1.0
+    assert 0.0 < th.q_star[1] < 1.0
+    assert max(_RecordingMap.seen) < 1.0
+
+
+def test_bisection_rejects_map_decreasing_past_grid(two_bank):
+    # nondecreasing on the model's check grid (up to 1e6), but it drops to
+    # zero at 2e6, which the doubling bracket reaches
+    def dropping(q):
+        q = np.asarray(q, dtype=float)
+        return np.where(q < 2e6, 1e-9 * q, 0.0)
+
+    model = FactorModel([dropping, dropping], LogNormal(0.0, 1.0))
+    with pytest.raises(ModelError, match="decreased during bracketing"):
+        solvency_thresholds(two_bank, model)
+
+
+def test_bisection_saturating_map_never_solvent(two_bank):
+    # the maps saturate at 1, below every target, so no bracket is found
+    model = FactorModel(
+        [TabulatedMap([0.0, 1.0], [0.0, 1.0]), TabulatedMap([0.0, 1.0], [0.0, 1.0])],
+        LogNormal(0.0, 1.0),
+    )
+    th = solvency_thresholds(two_bank, model)
+    assert np.all(np.isinf(th.q_star))
 
 
 # ---------------------------------------------------------------------------
