@@ -33,7 +33,7 @@ from netval import (
 )
 from netval import comonotonic
 from netval.capm import CapmParams, _eta_maps
-from netval.clearing import _intercept_rhs
+from netval.clearing import _external_share, _intercept_rhs
 from netval.comonotonic import norm_cdf
 
 
@@ -251,8 +251,13 @@ def test_uniform_factor_certain_default():
 
 
 def sweep_case(n, kind):
-    """Random n-bank net with affine maps: full recovery, partial recovery,
-    or cross-holdings (row sums of Gamma in [0.1, 0.5]) with partial recovery."""
+    """n-bank net with affine maps: calibrated synthetic sheets, or a random
+    net with full recovery, partial recovery, or cross-holdings (row sums
+    of Gamma in [0.1, 0.5]) with partial recovery."""
+    if kind == "calibrated":
+        net, calib = calibrated_network(make_synthetic_sheets(n, seed=7), seed=7)
+        maps = [AffineMap(0.0, float(s)) for s in calib.s]
+        return net, FactorModel(maps, LogNormal(0.0, 0.04))
     rng = np.random.default_rng([n, 1])
     inter = rng.uniform(0.0, 2.0, (n, n))
     inter[rng.random((n, n)) < 0.35] = 0.0
@@ -288,6 +293,8 @@ SWEEP_ORDERS = {
     (87, "full"): "fe2b048f749eed558f4bd4350ed2ea3a1560eef7f2be07005c240d264f71e699",
     (87, "partial"): "57bce93374c66350aa84d751a99206e39f5f5d5b18effa3a24188d4389e69366",
     (87, "gamma"): "cfdc2846b83751de1d865ee4789fb2b19cd1295623e9bd69145459df3fcb6dd1",
+    # the longest ladder, with the most steps for Woodbury round-off to build up
+    (200, "calibrated"): "e5672c8f19329a5d35d11c1e3b0acecd98d3b93d7ec9a2c7e59fd351e0a037fc",
 }
 
 
@@ -303,23 +310,51 @@ def _count_inversions(monkeypatch):
     return calls
 
 
+def _record_drift(monkeypatch):
+    residuals = []
+    drift = comonotonic._drift
+
+    def recorded(*args):
+        residuals.append(drift(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(comonotonic, "_drift", recorded)
+    return residuals
+
+
 @pytest.mark.parametrize("n, kind", sorted(SWEEP_ORDERS))
 def test_rank_two_sweep_matches_fresh_solves(monkeypatch, n, kind):
     net, model = sweep_case(n, kind)
     inversions = _count_inversions(monkeypatch)
+    residuals = _record_drift(monkeypatch)
     th = solvency_thresholds(net, model)
     order = hashlib.sha256(th.order.astype("<i8").tobytes()).hexdigest()
     assert order == SWEEP_ORDERS[(n, kind)], list(th.order)
     assert len(inversions) == 1  # the drift guard never fired
+    assert len(residuals) == n + 1
+    assert max(residuals) <= comonotonic.DRIFT_TOL
     scale = float(net.p_bar.max())
     z = np.zeros(n, dtype=bool)
     for k, (D, d) in enumerate(th.ladder):
         D_ref, d_ref = delta_matrix(net, z), delta_vector(net, z)
         assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref)), k
         assert np.max(np.abs(d - d_ref)) <= 1e-12 * scale, k
-        assert comonotonic._drift(net, z, d, _intercept_rhs(net, z)) <= comonotonic.DRIFT_TOL
         if k < n:
             z[th.order[k]] = True
+
+
+def test_drift_guard_sees_error_off_the_intercept():
+    # an error in M^{-1} that leaves delta = M^{-1} c exact still corrupts
+    # the ladder matrix; the residual on the ones vector must catch it
+    net, _ = sweep_case(30, "gamma")
+    z = np.zeros(net.n, dtype=bool)
+    z[::3] = True
+    c = _intercept_rhs(net, z)
+    d = delta_vector(net, z)
+    Minv = delta_matrix(net, z) / _external_share(net, z)
+    assert comonotonic._drift(net, z, Minv, d, c) <= comonotonic.DRIFT_TOL
+    Minv[:, 0] += 1e-9
+    assert comonotonic._drift(net, z, Minv, d, c) > comonotonic.DRIFT_TOL
 
 
 def test_drift_guard_reinverts(monkeypatch):
@@ -358,6 +393,21 @@ def test_bisection_thresholds_pinned():
     assert list(th.order) == [2, 5, 8, 1, 0, 9, 6, 7, 3, 4]
     digest = hashlib.sha256(th.q_star.tobytes()).hexdigest()
     assert digest == "d3b783f4de1701d141fa3e7b67b193ac910c318962ad918066e9da37c1fef840"
+
+
+def test_array_endowments_match_map_calls():
+    # the bisection evaluates affine and power maps as one array expression;
+    # it must give the bits of the maps' own __call__, including exponents
+    # 0 and 1, q = 0 and overflow to inf
+    maps = [
+        AffineMap(0.3, 2.5), AffineMap(0.0, 0.0), PowerMap(1.7, 0.0, 0.2),
+        PowerMap(0.9, 1.0), PowerMap(2.0, 0.37, 1.1), PowerMap(3.0, 50.0),
+    ]
+    model = FactorModel(maps, LogNormal(0.0, 1.0))
+    q = np.concatenate(([0.0, 1e-300, 0.5, 1.0, 7.25, 1e20], np.geomspace(1e-6, 1e6, 37)))
+    fast = comonotonic._endowments_at(model, comonotonic._map_params(model), q)
+    assert np.array_equal(fast, model.endowments(q))
+    assert np.isinf(fast[5, -1])  # q = 1e20
 
 
 class _RecordingMap(TabulatedMap):
