@@ -94,12 +94,103 @@ def calibrate(sheets) -> CalibrationResult:
     )
 
 
+def _max_flow_cut(r, c, adm):
+    """Rows and columns the source reaches in the residual graph of a max flow.
+
+    The network is source -> row i (capacity r_i) -> column j (unbounded,
+    where ``adm[i, j]``) -> sink (capacity c_j).  Shortest augmenting
+    paths (Edmonds-Karp) are found by a breadth-first search vectorized
+    over each level; every column the search reaches with spare sink
+    capacity ends a path, and all of them are augmented in turn.  Each
+    augmentation zeroes its bottleneck residual exactly (``x - x == 0``),
+    so the Edmonds-Karp bound on the number of augmentations holds in
+    floating point and the loop terminates.
+    """
+    n = r.size
+    F = np.zeros((n, n))
+    src = r.copy()  # residual capacity source -> row
+    snk = c.copy()  # residual capacity column -> sink
+    while True:
+        row_from = np.full(n, -2)  # -1: from the source; j >= 0: back along F[i, j]
+        col_from = np.full(n, -1)  # the row whose forward edge reached the column
+        seen_col = np.zeros(n, dtype=bool)
+        frontier = np.flatnonzero(src > 0.0)
+        row_from[frontier] = -1
+        ends = frontier[:0]
+        while frontier.size:
+            reach = adm[frontier] & ~seen_col
+            cols = np.flatnonzero(reach.any(axis=0))
+            if not cols.size:
+                break
+            col_from[cols] = frontier[reach[:, cols].argmax(axis=0)]
+            seen_col[cols] = True
+            ends = cols[snk[cols] > 0.0]
+            if ends.size:
+                break
+            back = (F[:, cols] > 0.0) & (row_from == -2)[:, None]
+            frontier = np.flatnonzero(back.any(axis=1))
+            row_from[frontier] = cols[back[frontier].argmax(axis=1)]
+        if not ends.size:
+            return row_from != -2, seen_col
+        for j in ends.tolist():
+            path = []  # (row, column reached forward, column left backward or -1)
+            i = int(col_from[j])
+            while True:
+                k = int(row_from[i])
+                path.append((i, j, k))
+                if k < 0:
+                    break
+                j, i = k, int(col_from[k])
+            delta = min(snk[path[0][1]], src[path[-1][0]])
+            for i, _, k in path[:-1]:
+                delta = min(delta, F[i, k])
+            if delta <= 0.0:
+                continue
+            snk[path[0][1]] -= delta
+            src[path[-1][0]] -= delta
+            for i, j, k in path:
+                F[i, j] += delta
+                if k >= 0:
+                    F[i, k] -= delta
+
+
+def _hall_gap(r, c, adm):
+    """Largest margin shortfall of the mask, with a description of its cut.
+
+    After a maximum flow, the columns ``J`` the source cannot reach and
+    their admissible rows ``N(J)`` give the column gap
+    ``c[J].sum() - r[N(J)].sum()``; the rows ``I`` it reaches and their
+    admissible columns give the row gap ``r[I].sum() - c[N(I)].sum()``.
+    Both come from the same minimum cut and differ by
+    ``r.sum() - c.sum()``, so the side with the larger total has the
+    largest Hall gap.  The sums are taken from the margins, not from the
+    flow values.
+    """
+    rows, cols = _max_flow_cut(r, c, adm)
+    if r.sum() > c.sum():
+        I = np.flatnonzero(rows)
+        pay, take = float(r[I].sum()), float(c[adm[I].any(axis=0)].sum())
+        return pay - take, (
+            f"rows {I.tolist()} must place {pay!r} but their admissible columns "
+            f"take {take!r}, a shortfall of {pay - take!r}"
+        )
+    J = np.flatnonzero(~cols)
+    need, supply = float(c[J].sum()), float(r[adm[:, J].any(axis=1)].sum())
+    return need - supply, (
+        f"columns {J.tolist()} need {need!r} but their admissible rows "
+        f"supply {supply!r}, a shortfall of {need - supply!r}"
+    )
+
+
 def fill_matrix(row_sums, col_sums, sparsity_mask, seed: int) -> np.ndarray:
     """Nonnegative matrix with given margins via iterative proportional fitting.
 
     Zeros stay outside the mask and on the diagonal; the seeded start
     makes the output deterministic.  Margins are matched to RAS_TOL
-    relative (tighter than the 1e-8 the callers rely on).
+    relative (tighter than the 1e-8 the callers rely on).  A mask that
+    cannot hold the margins is detected by a max-flow check once the
+    fitting has run ``n`` iterations without converging, and raises
+    CalibrationError naming the columns (or rows) that fall short.
     """
     r = np.asarray(row_sums, dtype=float)
     c = np.asarray(col_sums, dtype=float)
@@ -107,6 +198,8 @@ def fill_matrix(row_sums, col_sums, sparsity_mask, seed: int) -> np.ndarray:
     n = r.size
     if c.shape != (n,) or mask.shape != (n, n):
         raise CalibrationError("margin and mask shapes are inconsistent")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(c))):
+        raise CalibrationError("margins must be finite")
     if np.any(r < 0.0) or np.any(c < 0.0):
         raise CalibrationError("margins must be nonnegative")
     if abs(r.sum() - c.sum()) > 1e-8 * max(1.0, r.sum()):
@@ -120,7 +213,7 @@ def fill_matrix(row_sums, col_sums, sparsity_mask, seed: int) -> np.ndarray:
     M[:, (c == 0.0)] = 0.0
 
     scale = max(1.0, float(r.max(initial=0.0)), float(c.max(initial=0.0)))
-    for _ in range(RAS_MAX_ITER):
+    for it in range(RAS_MAX_ITER):
         rs = M.sum(axis=1)
         bad_row = (rs == 0.0) & (r > 0.0)
         if np.any(bad_row):
@@ -142,8 +235,31 @@ def fill_matrix(row_sums, col_sums, sparsity_mask, seed: int) -> np.ndarray:
         )
         if err <= RAS_TOL * scale:
             return M
+        if it + 1 == min(n, RAS_MAX_ITER):
+            # Certificate.  Every iterate M lives on the effective mask
+            # adm (the mask without zero-margin rows and columns).  Let
+            # err be its largest margin error.  For a column set J, every
+            # cell of M in a column of J lies in a row of N(J), the rows
+            # admissible for J, so
+            #   c[J] - r[N(J)] = sum_J (c_j - cs_j) + (sum_J cs_j - sum_N(J) rs_i)
+            #                    + sum_N(J) (rs_i - r_i)
+            #                 <= |J| err + 0 + |N(J)| err <= 2n err,
+            # and likewise r[I] - c[N(I)] <= 2n err for a row set I.  A
+            # gap above 2n RAS_TOL scale therefore rules out convergence
+            # on every iteration, and raising now is what the remaining
+            # iterations would end in.  Rounding in the computed sums
+            # moves either side by about n eps / RAS_TOL = 2e-6 n
+            # relative, which the factor 2 covers for any n whose n x n
+            # matrix fits in memory.  Otherwise the fit goes on untouched.
+            adm = mask & (r > 0.0)[:, None] & (c > 0.0)[None, :]
+            gap, why = _hall_gap(r, c, adm)
+            if gap > 2.0 * 2 * n * RAS_TOL * scale:
+                raise CalibrationError(f"infeasible margins: {why}")
+            if gap <= RAS_TOL * scale:
+                # the max flow leaves every margin within the tolerance
+                why = "the margins fit the mask only with some admissible cells forced to zero"
     raise CalibrationError(
-        "matrix filling did not converge; margins and mask are likely infeasible"
+        f"matrix filling did not converge in {RAS_MAX_ITER} iterations: {why}"
     )
 
 

@@ -211,6 +211,25 @@ def test_calibrate_network_round_trip(tmp_path, monkeypatch):
     assert net_out.read_text() == again.read_text()
 
 
+def test_calibrate_infeasible_sheets(tmp_path, capsys):
+    # two banks can only lend to each other, so interbank totals 4 and 5
+    # cannot balance under any mask
+    sheets = tmp_path / "sheets.csv"
+    sheets.write_text(
+        "bank_id,total_assets,capital,interbank_liabilities\n"
+        "A,10,2,4\nB,10,3,5\n"
+    )
+    assert cli.main(["calibrate", str(sheets), "--seed", "0"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "domain"
+    assert err["message"] == (
+        "infeasible margins: columns [1] need 5.0 but their admissible rows "
+        "supply 4.0, a shortfall of 1.0"
+    )
+
+
 def test_simulate_and_mc(tmp_path, two_bank_csv, bench_model):
     scenario = tmp_path / "scen.json"
     scenario.write_text(
