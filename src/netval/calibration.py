@@ -202,8 +202,15 @@ def fill_matrix(row_sums, col_sums, sparsity_mask, seed: int) -> np.ndarray:
         raise CalibrationError("margins must be finite")
     if np.any(r < 0.0) or np.any(c < 0.0):
         raise CalibrationError("margins must be nonnegative")
-    if abs(r.sum() - c.sum()) > 1e-8 * max(1.0, r.sum()):
-        raise CalibrationError("row and column margins must have equal totals")
+    scale = max(1.0, float(r.max(initial=0.0)), float(c.max(initial=0.0)))
+    # after a column step the row errors sum to c.sum() - r.sum(), so a fit
+    # within RAS_TOL * scale per margin needs totals within n times that
+    bound = n * RAS_TOL * scale
+    if abs(r.sum() - c.sum()) > bound:
+        raise CalibrationError(
+            "row and column margins must have equal totals: rows sum to "
+            f"{float(r.sum())!r}, columns to {float(c.sum())!r}, more than {bound!r} apart"
+        )
     if np.any(np.diag(mask)):
         raise CalibrationError("sparsity mask must exclude the diagonal")
 
@@ -212,7 +219,6 @@ def fill_matrix(row_sums, col_sums, sparsity_mask, seed: int) -> np.ndarray:
     M[(r == 0.0), :] = 0.0
     M[:, (c == 0.0)] = 0.0
 
-    scale = max(1.0, float(r.max(initial=0.0)), float(c.max(initial=0.0)))
     for it in range(RAS_MAX_ITER):
         rs = M.sum(axis=1)
         bad_row = (rs == 0.0) & (r > 0.0)

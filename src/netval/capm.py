@@ -2,9 +2,11 @@
 
 Bank assets are geometric Brownian motions tied to a market factor.
 Replacing each asset with either its comonotonic version (z = sigma) or
-its market-conditional expectation (z = beta * sigma_M) yields single
-factor models whose clearing expectations price debt in closed form;
-under full recovery these bracket the true price from below and above.
+its market-conditional expectation (z = beta * sigma_M) maps the
+lognormal factor through the power maps ``s_i q0 hat_eta_i(z_i, q)``.
+Debt prices and market caps are the ``expected_values`` of that model,
+discounted by ``e^{-rT}``; under full recovery they bracket the true
+price from below and above.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comonotonic import (
-    AffineMap,
     FactorModel,
     LogNormal,
     PowerMap,
     SolvencyThresholds,
     expected_values,
-    norm_cdf,
     solvency_thresholds,
 )
 from .network import FinancialNetwork, build_network
@@ -128,82 +128,16 @@ def _eta_maps(z, params: CapmParams):
     return [PowerMap(float(c), float(e)) for c, e in zip(coef, expo)]
 
 
-def capm_thresholds(net: FinancialNetwork, params: CapmParams, which: str) -> SolvencyThresholds:
-    """Normalized-factor solvency thresholds for the chosen bound.
-
-    When every bank carries the same positive z, thresholds at z follow
-    from the z = sigma_M case by a strictly increasing power transform,
-    which preserves the default order and the affine ladder; that case
-    takes this shortcut, every other case the general sweep.
-    """
+def _capm_model(net: FinancialNetwork, params: CapmParams, which: str) -> FactorModel:
+    """The eta-map factor model of the chosen bound on ``net``."""
     if params.n != net.n:
         raise PricingError(f"params cover {params.n} banks, network has {net.n}")
-    z = params.z_vector(which)
-    dist = params.factor_dist()
-
-    if z.size > 0 and np.all(z == z[0]) and z[0] > 0.0:
-        zc, sM, r, T = float(z[0]), params.sigma_M, params.r, params.T
-        base = FactorModel(
-            [AffineMap(0.0, float(si * params.q0)) for si in params.s], dist
-        )
-        th = solvency_thresholds(net, base)
-        scale = math.exp((1.0 - sM / zc) * (r + 0.5 * zc * sM) * T)
-        with np.errstate(invalid="ignore"):
-            q_star = scale * th.q_star ** (sM / zc)
-        q_star = np.where(th.q_star == np.inf, np.inf, q_star)
-        return SolvencyThresholds(q_star=q_star, order=th.order, ladder=th.ladder)
-
-    model = FactorModel(_eta_maps(z, params), dist)
-    return solvency_thresholds(net, model)
+    return FactorModel(_eta_maps(params.z_vector(which), params), params.factor_dist())
 
 
-def _phi_block_1(thresholds: np.ndarray, z: np.ndarray, params: CapmParams):
-    """Phi(-d1(t)) per threshold t (rows) and bank (columns)."""
-    r, T, sM = params.r, params.T, params.sigma_M
-    c = (r - 0.5 * (sM - 2.0 * np.asarray(z)) * sM) * T
-    v = sM * math.sqrt(T)
-    out = np.empty((thresholds.size, z.size))
-    for k, t in enumerate(thresholds):
-        if t == np.inf:
-            out[k] = 1.0
-        elif t <= 0.0:
-            out[k] = 0.0
-        else:
-            out[k] = norm_cdf((math.log(t) - c) / v)
-    return out
-
-
-def _phi_block_2(thresholds: np.ndarray, params: CapmParams):
-    """Phi(-d2(t)) = P(q < t) per threshold under the risk-neutral factor law."""
-    r, T, sM = params.r, params.T, params.sigma_M
-    c = (r - 0.5 * sM**2) * T
-    v = sM * math.sqrt(T)
-    out = np.empty(thresholds.size)
-    for k, t in enumerate(thresholds):
-        if t == np.inf:
-            out[k] = 1.0
-        elif t <= 0.0:
-            out[k] = 0.0
-        else:
-            out[k] = float(norm_cdf((math.log(t) - c) / v))
-    return out
-
-
-def _ladder_blocks(net, params, th: SolvencyThresholds, z):
-    """Discounted interval terms e^{-rT}(Delta_k PE_k - delta_k P_k), k = 0..n."""
-    qs = th.sorted_with_sentinels()
-    disc = math.exp(-params.r * params.T)
-    phi1 = _phi_block_1(qs, z, params)
-    phi2 = _phi_block_2(qs, params)
-    sq0 = params.s * params.q0
-    n = net.n
-    blocks = np.empty((n + 1, n))
-    for k in range(n + 1):
-        D, d = th.ladder[k]
-        blocks[k] = D @ (sq0 * (phi1[k] - phi1[k + 1])) - disc * d * (
-            phi2[k] - phi2[k + 1]
-        )
-    return blocks, th.position()
+def capm_thresholds(net: FinancialNetwork, params: CapmParams, which: str) -> SolvencyThresholds:
+    """Normalized-factor solvency thresholds for the chosen bound."""
+    return solvency_thresholds(net, _capm_model(net, params, which))
 
 
 def _require_full_recovery(net: FinancialNetwork, force: bool):
@@ -227,13 +161,9 @@ def price_and_cap(
     conditional one (z = beta sigma_M).
     """
     _require_full_recovery(net, force)
-    z = params.z_vector(which)
-    th = capm_thresholds(net, params, which)
-    blocks, pos = _ladder_blocks(net, params, th, z)
+    ev = expected_values(net, _capm_model(net, params, which))
     disc = math.exp(-params.r * params.T)
-    cum = np.vstack([np.zeros(net.n), np.cumsum(blocks, axis=0)])
-    cap = cum[pos, np.arange(net.n)]
-    return disc + (cum[-1] - cap) / net.p_bar, cap
+    return disc * ev.Ep / net.p_bar, disc * ev.EE
 
 
 def debt_price_bound(

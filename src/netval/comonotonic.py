@@ -537,8 +537,10 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     default set; the bank with the largest candidate (the lowest index
     among ties) defaults next.  The running minimum with the previous
     threshold handles defaults triggered jointly by a predecessor's
-    failure.  Affine maps give the candidates in closed form; otherwise
-    all still-solvent banks are bisected together.
+    failure.  Maps affine in ``u = q**c`` (affine or power maps with
+    exponents in ``{0, c}``) give the candidates as closed-form roots in
+    ``u``, mapped back by ``u**(1/c)``; otherwise all still-solvent banks
+    are bisected together.
 
     The sweep carries ``M(z)^{-1}`` instead of factoring ``M(z)`` anew: a
     default changes one row and one column of ``M``, a rank-two update
@@ -554,9 +556,13 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     n = net.n
     params = _map_params(model)
     affine = None
-    if params is not None and np.all((params[2] == 0.0) | (params[2] == 1.0)):
+    if params is not None:
         shift, coef, expo = params
-        affine = (shift + np.where(expo == 0.0, coef, 0.0), np.where(expo == 1.0, coef, 0.0))
+        powers = expo[expo > 0.0]
+        power = float(powers[0]) if powers.size else 1.0
+        if np.all(powers == power):
+            # exponents in {0, c}: the maps are affine in u = q**c
+            affine = (shift + np.where(expo == 0.0, coef, 0.0), np.where(expo == power, coef, 0.0))
     cap = 1.0 if isinstance(model.dist, Uniform01) else None
 
     z = np.zeros(n, dtype=bool)
@@ -580,8 +586,10 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
         target = d[remaining]
         if affine is not None:
             a, b = (D @ affine[0])[remaining], (D @ affine[1])[remaining]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 sups = np.where(a >= target, 0.0, np.where(b <= 0.0, np.inf, (target - a) / b))
+                if power != 1.0:
+                    sups = sups ** (1.0 / power)
         else:
             rows = D[remaining]
 
@@ -619,7 +627,9 @@ def _interval_moments(model: FactorModel, qs: np.ndarray):
     dist = model.dist
     if isinstance(dist, LogNormal) and params is not None:
         shift, coef, expo = params
-        expos, col = np.unique(expo, return_inverse=True)
+        # np.unique imports numpy.ma on first use (numpy 2.4), 5 ms of a CLI call
+        expos = np.array(sorted(set(expo.tolist())))
+        col = np.searchsorted(expos, expo)
         surv = dist.tails(0.0, qs)[:, 0]
         tails = dist.tails(expos, qs)
         prob = surv[1:] - surv[:-1]
@@ -676,5 +686,8 @@ def expected_values(
     EE = cumulative[pos, np.arange(n)]
     Ep = net.p_bar + (total - EE)
 
-    pd = np.array([model.dist.prob_below(q) for q in th.q_star])
+    if isinstance(model.dist, LogNormal):
+        pd = 1.0 - model.dist.tails(0.0, th.q_star)[:, 0]
+    else:
+        pd = np.array([model.dist.prob_below(q) for q in th.q_star])
     return ExpectedValues(pd=pd, EV=EV, Ep=Ep, EE=EE, thresholds=th)

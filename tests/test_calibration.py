@@ -107,6 +107,23 @@ def test_fill_matrix_unequal_totals():
         fill_matrix([1.0, 2.0], [1.0, 1.0], mask, seed=0)
 
 
+def test_fill_matrix_totals_gap_beyond_fit():
+    # a fit within RAS_TOL per margin absorbs a totals gap of at most
+    # n * RAS_TOL * scale; this one is 1e-8, rejected before any flow check
+    cols = np.array([4.0, 3.0, 2.0, 1.0]) * (1.0 + 1e-9)
+    with pytest.raises(CalibrationError) as exc:
+        fill_matrix([1.0, 2.0, 3.0, 4.0], cols, ~np.eye(4, dtype=bool), seed=0)
+    msg = str(exc.value)
+    assert msg.startswith(
+        "row and column margins must have equal totals: rows sum to 10.0, "
+        "columns to 10.00000001, more than "
+    )
+    assert "admissible" not in msg
+    # two banks: 3e-10 apart is past 2 * RAS_TOL, and no fit absorbs it
+    with pytest.raises(CalibrationError, match=r"more than 2\.0000000006\d*e-10 apart"):
+        fill_matrix([1.0, 1.0], [1.0, 1.0 + 3e-10], ~np.eye(2, dtype=bool), seed=0)
+
+
 def test_fill_matrix_diagonal_in_mask():
     with pytest.raises(CalibrationError, match="diagonal"):
         fill_matrix([1.0, 1.0], [1.0, 1.0], np.ones((2, 2), dtype=bool), seed=0)
@@ -140,23 +157,25 @@ def test_fill_matrix_feasible_only_with_forced_zeros():
 
 
 def test_fill_matrix_shortfall_within_check_bound():
-    # the columns need 3e-10 more than the rows hold: too little for the
-    # flow check to rule out convergence, too much for the fit to reach
+    # equal totals, but column 0 needs 3e-10 more than its only row holds:
+    # too little for the flow check to rule out convergence, too much for
+    # the fit to reach
     with pytest.raises(CalibrationError) as exc:
-        fill_matrix([1.0, 1.0], [1.0, 1.0 + 3e-10], ~np.eye(2, dtype=bool), seed=0)
+        fill_matrix([1.0 + 3e-10, 1.0], [1.0 + 3e-10, 1.0], ~np.eye(2, dtype=bool), seed=0)
     msg = str(exc.value)
     assert msg.startswith(
-        "matrix filling did not converge in 10000 iterations: columns [0, 1] "
-        "need 2.0000000003 but their admissible rows supply 2.0"
+        "matrix filling did not converge in 10000 iterations: columns [0] "
+        "need 1.0000000003 but their admissible rows supply 1.0"
     )
     assert _shortfall(msg) == pytest.approx(3e-10, rel=1e-6)
 
 
 def test_fill_matrix_rows_fall_short():
-    # with the larger total on the rows, the gap is reported for rows
+    # with the larger total on the rows (by 1e-10, inside the totals
+    # check), the gap is reported for rows
     mask = ~np.eye(2, dtype=bool)
     with pytest.raises(CalibrationError) as exc:
-        fill_matrix([1.0, 1.0 + 5e-9], [1.0, 1.0], mask, seed=0)
+        fill_matrix([1.0, 1.0 + 5e-9], [1.0, 1.0 + 4.9e-9], mask, seed=0)
     msg = str(exc.value)
     assert msg.startswith(
         "infeasible margins: rows [1] must place 1.000000005 but their "
@@ -164,7 +183,7 @@ def test_fill_matrix_rows_fall_short():
     )
     assert _shortfall(msg) == pytest.approx(5e-9, rel=1e-6)
     with pytest.raises(CalibrationError) as exc:
-        fill_matrix([1.0, 1.0 + 3e-10], [1.0, 1.0], mask, seed=0)
+        fill_matrix([1.0, 1.0 + 3e-10], [1.0, 1.0 + 2e-10], mask, seed=0)
     msg = str(exc.value)
     assert msg.startswith("matrix filling did not converge in 10000 iterations: rows [1]")
     assert _shortfall(msg) == pytest.approx(3e-10, rel=1e-6)

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_two_bank
+from helpers import make_two_bank, random_net
 from netval import (
     CapmParams,
     FactorModel,
+    LogNormal,
+    MarginalSet,
+    PowerMap,
     PricingError,
     build_network,
     capm_thresholds,
+    comonotonic_lower,
     conditional_upper,
     debt_price_bound,
     effective_rate,
+    expected_values,
     hat_eta,
     market_cap,
     mc_expectations,
@@ -20,7 +25,8 @@ from netval import (
     simulate,
     solvency_thresholds,
 )
-from netval.capm import _eta_maps
+from netval import comonotonic
+from netval.capm import _eta_maps, price_and_cap
 from netval.comonotonic import norm_cdf
 
 
@@ -134,15 +140,60 @@ def test_bound_refused_under_costs():
     assert np.all(forced >= 0.0)
 
 
-def test_shortcut_matches_general(two_bank):
-    # a common z takes the power-transform shortcut; compare with the
-    # general sweep over the same per-bank power maps
+def _thresholds_by_bisection(net, model):
+    # wrapping each map hides its parameters, so the sweep bisects
+    wrapped = [lambda q, f=f: f(q) for f in model.f]
+    return solvency_thresholds(net, FactorModel(wrapped, model.dist))
+
+
+def _no_bisection(*args, **kwargs):
+    raise AssertionError("exponents in {0, c} must take the closed form")
+
+
+def _assert_power_affine_path_matches_bisection(net, model, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(comonotonic, "_sup_insolvent_bisect", _no_bisection)
+        fast = solvency_thresholds(net, model)
+    slow = _thresholds_by_bisection(net, model)
+    assert np.array_equal(fast.order, slow.order)
+    # the bisection stops at 1e-10 * max(q, 1), an absolute width below 1
+    assert np.allclose(fast.q_star, slow.q_star, rtol=1e-9, atol=1e-9)
+    return fast, slow
+
+
+def test_power_affine_path_matches_bisection(two_bank, monkeypatch):
+    # maps affine in u = q**c take closed-form roots in u; bisecting the
+    # same maps in q must find the same thresholds
     params = beta_params(0.5, r=0.03, T=2.0, sigma_M=0.8)
-    z = params.z_vector("upper")
-    a = capm_thresholds(two_bank, params, "upper")
-    b = solvency_thresholds(two_bank, FactorModel(_eta_maps(z, params), params.factor_dist()))
-    assert np.allclose(a.q_star, b.q_star, rtol=1e-9)
-    assert np.array_equal(a.order, b.order)
+    for which in ("lower", "upper"):
+        z = params.z_vector(which)
+        assert np.all(z == z[0]) and z[0] != params.sigma_M
+        model = FactorModel(_eta_maps(z, params), params.factor_dist())
+        _assert_power_affine_path_matches_bisection(two_bank, model, monkeypatch)
+
+    rng = np.random.default_rng(5)
+    dist = LogNormal(0.1, 0.36)
+    for c in (0.35, 2.5):
+        for _ in range(4):
+            net = random_net(rng)
+            shift = rng.uniform(0.0, 1.0, net.n)
+            coef = rng.uniform(0.5, 3.0, net.n)
+            expo = np.where(np.arange(net.n) % 2 == 0, c, 0.0)
+            for e in (np.full(net.n, c), expo):  # shifted, then mixed with constants
+                maps = [PowerMap(k, ei, h) for k, ei, h in zip(coef, e, shift)]
+                _assert_power_affine_path_matches_bisection(net, FactorModel(maps, dist), monkeypatch)
+
+    # comonotonic_lower with equal lognormal sigmas is a {0, c} model too
+    marg = MarginalSet([LogNormal(0.3, 0.64), LogNormal(0.9, 0.64)])
+    maps = [PowerMap(math.exp(m.mu), m.sigma) for m in marg.marginals]
+    model = FactorModel(maps, LogNormal(0.0, 1.0))
+    _, slow = _assert_power_affine_path_matches_bisection(two_bank, model, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(comonotonic, "_sup_insolvent_bisect", _no_bisection)
+        lo = comonotonic_lower(two_bank, marg)
+    ref = expected_values(two_bank, model, slow)
+    assert np.allclose(lo.Ep, ref.Ep, rtol=0.0, atol=1e-8 * two_bank.p_bar.max())
+    assert np.allclose(lo.EE, ref.EE, rtol=0.0, atol=1e-8 * two_bank.p_bar.max())
 
 
 def test_thresholds_sorted_both_sides(two_bank):
@@ -189,6 +240,209 @@ def test_mc_price_inside_bounds(two_bank):
     est = mc_expectations(two_bank, batch)
     assert np.all(est.Ep >= lo - 3.0 * est.se_Ep)
     assert np.all(est.Ep <= hi + 3.0 * est.se_Ep)
+
+
+# values captured before prices went through expected_values, at r = 0.03,
+# T = 2, sigma_M = 0.8, gamma = 0.4, alpha = 1 and 0.5 (forced):
+# (net, beta, alpha, which) -> (order, q_star, price, cap)
+FIVE_BANK = [
+    [0.0, 2.0, 1.0, 0.0, 0.0, 4.0],
+    [1.0, 0.0, 2.0, 1.0, 0.0, 3.0],
+    [0.0, 1.0, 0.0, 2.0, 1.0, 5.0],
+    [2.0, 0.0, 1.0, 0.0, 1.0, 2.0],
+    [1.0, 1.0, 0.0, 1.0, 0.0, 3.0],
+]
+PINNED_NETS = {
+    "two": ([[0.0, 7.0, 3.0], [3.0, 0.0, 3.0]], [6.0, 4.0]),
+    "five": (FIVE_BANK, [5.0, 4.0, 6.0, 3.0, 4.0]),
+}
+PARENT_VALUES = {
+    ('two', 'common', 1.0, 'lower'): (
+        [0, 1],
+        [1.04123090119858, 0.3300596265994046],
+        [0.6613541988279573, 0.8260462436914802],
+        [1.8645967427948669, 3.673201929646821],
+    ),
+    ('two', 'common', 1.0, 'upper'): (
+        [0, 1],
+        [0.9616716562103159, 0.21554275244665697],
+        [0.7273024304519196, 0.8883952973746829],
+        [1.3921615876048534, 3.7607452289153396],
+    ),
+    ('two', 'common', 0.5, 'lower'): (
+        [0, 1],
+        [1.04123090119858, 0.6541381440422102],
+        [0.4260789192009852, 0.5462839213820962],
+        [1.8645967427948669, 2.943452837574278],
+    ),
+    ('two', 'common', 0.5, 'upper'): (
+        [0, 1],
+        [0.9616716562103159, 0.5250988976450108],
+        [0.47245586710622073, 0.6208680926491743],
+        [1.3921615876048534, 2.809855190207468],
+    ),
+    ('two', 'per-bank', 1.0, 'lower'): (
+        [0, 1],
+        [0.9556610347644892, 0.37916525816368196],
+        [0.7089284262369091, 0.8121730067073185],
+        [1.3472347577528634, 4.089460943414454],
+    ),
+    ('two', 'per-bank', 1.0, 'upper'): (
+        [0, 1],
+        [0.9285190322261769, 0.2223147256267946],
+        [0.8116396812516762, 0.9002597412802515],
+        [0.5843824113239924, 4.279919321080224],
+    ),
+    ('two', 'per-bank', 0.5, 'lower'): (
+        [0, 1],
+        [0.9556610347644892, 0.831573561449371],
+        [0.45317027933397636, 0.4711229841761616],
+        [1.3472347577528634, 3.571614618033421],
+    ),
+    ('two', 'per-bank', 0.5, 'upper'): (
+        [0, 1],
+        [0.9285190322261769, 0.7400638547049565],
+        [0.5038644174070892, 0.526106429866755],
+        [0.5843824113239924, 3.4887791917808464],
+    ),
+    ('five', 'common', 1.0, 'lower'): (
+        [4, 2, 1, 3, 0],
+        [
+            0.5365239746391849, 0.6346352900854494, 0.6767827345272684, 0.605481951934194,
+            0.854732992149441,
+        ],
+        [
+            0.7417551977213768, 0.7183577312658465, 0.7068235586445774, 0.7199864122410865,
+            0.6636221765246102,
+        ],
+        [
+            2.629666348222993, 1.825452011751016, 2.5370450446929596, 1.475708551633092,
+            1.4450769117380025,
+        ],
+    ),
+    ('five', 'common', 1.0, 'upper'): (
+        [4, 2, 1, 3, 0],
+        [
+            0.4056856198770792, 0.5048121716151939, 0.5488833916916239, 0.47483749900116085,
+            0.7437874280201796,
+        ],
+        [
+            0.8175985927413129, 0.7948549250632397, 0.7833223239584073, 0.7966275833191985,
+            0.7379584637631793,
+        ],
+        [
+            2.4028784062756254, 1.5924934977615341, 2.154035110561325, 1.3196925368280426,
+            1.1521991246985297,
+        ],
+    ),
+    ('five', 'common', 0.5, 'lower'): (
+        [4, 1, 3, 2, 0],
+        [
+            0.7305611535600401, 0.7305611535600401, 0.7305611535600401, 0.7305611535600401,
+            0.854732992149441,
+        ],
+        [
+            0.5049662316085475, 0.4898071710200014, 0.49361999116803296, 0.48381499078735674,
+            0.46116599188481683,
+        ],
+        [
+            2.5324315901640353, 1.7907737401940935, 2.5332644653881, 1.4324524171104618,
+            1.4450769117380025,
+        ],
+    ),
+    ('five', 'common', 0.5, 'upper'): (
+        [4, 1, 3, 2, 0],
+        [
+            0.6063261699383423, 0.6063261699383423, 0.6063261699383423, 0.6063261699383423,
+            0.7437874280201796,
+        ],
+        [
+            0.572254083017002, 0.5563254175163315, 0.5603318093634689, 0.5500290224337994,
+            0.5186226617676567,
+        ],
+        [
+            2.2745947858742595, 1.5460526158971883, 2.1490060027476385, 1.2619598493430748,
+            1.1521991246985297,
+        ],
+    ),
+    ('five', 'per-bank', 1.0, 'lower'): (
+        [4, 3, 2, 1, 0],
+        [
+            0.5195551499307385, 0.6499326756678707, 0.7365682125289486, 0.7738393261247942,
+            1.1544898856955115,
+        ],
+        [
+            0.7633988149999711, 0.7234200205969568, 0.6852705805593367, 0.658911981751066,
+            0.5436853145495436,
+        ],
+        [
+            2.2411375936488356, 1.691813380930125, 2.701715612910921, 1.6841746057587779,
+            2.0820706750131404,
+        ],
+    ),
+    ('five', 'per-bank', 1.0, 'upper'): (
+        [4, 3, 2, 1, 0],
+        [
+            0.3507072512025533, 0.5183215715696976, 0.6260082235914239, 0.6808587226253433,
+            1.0719233363342937,
+        ],
+        [
+            0.862791628732808, 0.8104957569672097, 0.7604043378527803, 0.7256357789479184,
+            0.5928541699851768,
+        ],
+        [
+            1.8150800837185674, 1.4053714665331054, 2.365779880940123, 1.5703439289704375,
+            1.9289150968896378,
+        ],
+    ),
+    ('five', 'per-bank', 0.5, 'lower'): (
+        [4, 3, 2, 1, 0],
+        [
+            0.82212329060719, 0.82212329060719, 0.82212329060719, 0.8855314272600231,
+            1.1544898856955115,
+        ],
+        [
+            0.505816838746189, 0.4738523842760822, 0.46138675223597503, 0.4206649378773848,
+            0.3563293210206344,
+        ],
+        [
+            2.0101611311137018, 1.6155016633926973, 2.6807632381538675, 1.6412336424867087,
+            2.0820706750131404,
+        ],
+    ),
+    ('five', 'per-bank', 0.5, 'upper'): (
+        [4, 3, 2, 1, 0],
+        [
+            0.7149519420369419, 0.7149519420369419, 0.7149519420369419, 0.7928018621257964,
+            1.0719233363342937,
+        ],
+        [
+            0.5797016796203152, 0.5350822000238602, 0.5161353565544846, 0.4648370966291825,
+            0.3875834996107017,
+        ],
+        [
+            1.4688151523358268, 1.3042701891990856, 2.33722232505161, 1.5199205723825608,
+            1.9289150968896378,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PARENT_VALUES), ids=lambda k: "-".join(map(str, k)))
+def test_capm_values_match_parent(key):
+    name, kind, alpha, which = key
+    L, s = PINNED_NETS[name]
+    n = len(s)
+    beta = [0.6] * n if kind == "common" else np.linspace(0.3, 1.1, n)
+    params = CapmParams(r=0.03, T=2.0, sigma_M=0.8, beta=beta, gamma=[0.4] * n, s=s)
+    net = build_network(L, alpha, alpha)
+    order, q_star, price, cap = PARENT_VALUES[key]
+    th = capm_thresholds(net, params, which)
+    assert th.order.tolist() == order
+    assert np.allclose(th.q_star, q_star, rtol=1e-14, atol=0.0)
+    got_price, got_cap = price_and_cap(net, params, which, force=True)
+    assert np.allclose(got_price, price, rtol=0.0, atol=1e-14)
+    assert np.allclose(got_cap, cap, rtol=0.0, atol=1e-14 * net.p_bar.max())
 
 
 # ---------------------------------------------------------------------------

@@ -599,28 +599,28 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep T --grid 0.5,1,2",
-        "2c2dade989165da24873ebb0b17621584f3dc51f9a370d5c727ba87839d2a713",
+        "e2c8b2f26fe83854713f459b2106a230d669407ca36d6befe563a525c4293040",
         id="statics-T",
     ),
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep alpha --grid 0.5,1",
-        "6b9ea02d351ecd141e820918a6412b542352bb72ffcf7749335e38426573652b",
+        "d7ae9866bd77e4219c231fb39672b4b7f619de7a5d4b5375119c49a211f76970",
         id="statics-alpha",
     ),
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep ratio --route liabilities"
         " --grid 0.8,1.2,1.6",
-        "f071a43bb804c2a021e4cfcc9750e3cc8f86b759fe33ed79a7a53cf777b1c47c",
+        "5eca32f4f080d45b0670f68aaff720892fdaf266bd2ce0aee720e012e5d41c48",
         id="statics-ratio-liabilities",
     ),
     pytest.param(
         "price {dir}/net.csv {dir}/params.json --which both --baseline risky",
-        "a99289385d5e7d554e3ea8ee2b1b0adbd91c645c5f073ea99b4ca97d30745f1b",
+        "b4f59df7bc69895efd8ecc99f03cdbebc17edfa580ca7d36bf2f00b739a8a7b0",
         id="price-both-risky",
     ),
     pytest.param(
         "price {dir}/partial.csv {dir}/params.json --which lower --force",
-        "f8927f9ce94d1f4cd77208ff1d72c57d26a98e6dd9280454a1d5f476fd274a91",
+        "db132a341be38707597d96582e5f2ab4f2758163058a79d6b73f3c7e0ff47cec",
         id="price-lower-force-partial",
     ),
     pytest.param(

@@ -395,6 +395,22 @@ def test_bisection_thresholds_pinned():
     assert digest == "d3b783f4de1701d141fa3e7b67b193ac910c318962ad918066e9da37c1fef840"
 
 
+def test_lognormal_pd_matches_prob_below():
+    # expected_values takes a lognormal pd from one tails call; it must give
+    # the bits of prob_below, also at 0, denormal-small, huge and inf thresholds
+    rng = np.random.default_rng(13)
+    t = np.concatenate(([0.0, 1e-300, 1.0, 1e300, np.inf], rng.lognormal(0.0, 3.0, 49)))
+    for _ in range(20):
+        dist = LogNormal(rng.normal(0.0, 2.0), rng.uniform(0.01, 4.0))
+        assert (1.0 - dist.tails(0.0, t)[:, 0]).tolist() == [dist.prob_below(x) for x in t]
+    for _ in range(5):
+        net = random_net(rng)
+        maps = [PowerMap(k, e) for k, e in zip(rng.uniform(0.5, 3.0, net.n), rng.uniform(0.2, 1.5, net.n))]
+        dist = LogNormal(rng.normal(0.0, 0.5), rng.uniform(0.1, 1.0))
+        ev = expected_values(net, FactorModel(maps, dist))
+        assert ev.pd.tolist() == [dist.prob_below(q) for q in ev.thresholds.q_star]
+
+
 def test_array_endowments_match_map_calls():
     # the bisection evaluates affine and power maps as one array expression;
     # it must give the bits of the maps' own __call__, including exponents
