@@ -140,12 +140,6 @@ def test_bound_refused_under_costs():
     assert np.all(forced >= 0.0)
 
 
-def _thresholds_by_bisection(net, model):
-    # wrapping each map hides its parameters, so the sweep bisects
-    wrapped = [lambda q, f=f: f(q) for f in model.f]
-    return solvency_thresholds(net, FactorModel(wrapped, model.dist))
-
-
 def _no_bisection(*args, **kwargs):
     raise AssertionError("exponents in {0, c} must take the closed form")
 
@@ -154,7 +148,9 @@ def _assert_power_affine_path_matches_bisection(net, model, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(comonotonic, "_sup_insolvent_bisect", _no_bisection)
         fast = solvency_thresholds(net, model)
-    slow = _thresholds_by_bisection(net, model)
+    # wrapping each map hides its parameters, so this sweep bisects
+    wrapped = [lambda q, f=f: f(q) for f in model.f]
+    slow = solvency_thresholds(net, FactorModel(wrapped, model.dist))
     assert np.array_equal(fast.order, slow.order)
     # the bisection stops at 1e-10 * max(q, 1), an absolute width below 1
     assert np.allclose(fast.q_star, slow.q_star, rtol=1e-9, atol=1e-9)
@@ -180,8 +176,8 @@ def test_power_affine_path_matches_bisection(two_bank, monkeypatch):
             coef = rng.uniform(0.5, 3.0, net.n)
             expo = np.where(np.arange(net.n) % 2 == 0, c, 0.0)
             for e in (np.full(net.n, c), expo):  # shifted, then mixed with constants
-                maps = [PowerMap(k, ei, h) for k, ei, h in zip(coef, e, shift)]
-                _assert_power_affine_path_matches_bisection(net, FactorModel(maps, dist), monkeypatch)
+                model = FactorModel([PowerMap(*a) for a in zip(coef, e, shift)], dist)
+                _assert_power_affine_path_matches_bisection(net, model, monkeypatch)
 
     # comonotonic_lower with equal lognormal sigmas is a {0, c} model too
     marg = MarginalSet([LogNormal(0.3, 0.64), LogNormal(0.9, 0.64)])

@@ -405,7 +405,8 @@ def test_lognormal_pd_matches_prob_below():
         assert (1.0 - dist.tails(0.0, t)[:, 0]).tolist() == [dist.prob_below(x) for x in t]
     for _ in range(5):
         net = random_net(rng)
-        maps = [PowerMap(k, e) for k, e in zip(rng.uniform(0.5, 3.0, net.n), rng.uniform(0.2, 1.5, net.n))]
+        coef, expo = rng.uniform(0.5, 3.0, net.n), rng.uniform(0.2, 1.5, net.n)
+        maps = [PowerMap(k, e) for k, e in zip(coef, expo)]
         dist = LogNormal(rng.normal(0.0, 0.5), rng.uniform(0.1, 1.0))
         ev = expected_values(net, FactorModel(maps, dist))
         assert ev.pd.tolist() == [dist.prob_below(q) for q in ev.thresholds.q_star]
