@@ -100,7 +100,8 @@ def _finite_comonotonic_support(marginals):
     edges = [np.array([0.0])]
     for m in marginals:
         edges.append(np.cumsum(m.probs))
-    grid = np.unique(np.concatenate(edges))
+    # sorted set, not np.unique: np.unique imports numpy.ma on first use
+    grid = np.array(sorted(set(np.concatenate(edges).tolist())))
     grid = grid[(grid >= 0.0) & (grid <= 1.0)]
     if grid[-1] < 1.0:
         grid = np.append(grid, 1.0)

@@ -464,6 +464,9 @@ def _default_seed() -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
+
+
+def _add_seed(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (default NETVAL_SEED or 0)")
 
 
@@ -528,6 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--network-out", default=None, help="also write the network CSV here")
     _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("simulate", help="draw endowment scenarios")
@@ -535,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--offset", type=int, default=0, help="index of the first path")
     _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("mc", help="Monte Carlo expectations with standard errors")
@@ -543,6 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--offset", type=int, default=0)
     _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_mc)
 
     return parser
@@ -561,7 +567,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         args.func(args)
     except FileNotFoundError as exc:

@@ -32,38 +32,19 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def norm_cdf(x):
-    """Standard normal CDF via ``math.erfc``.
+    """Standard normal CDF of an array, elementwise in a C loop over ``math.erfc``.
 
-    A float gives a float; anything else is taken as an array and
-    evaluated elementwise, in a C loop over ``math.erfc``.  Wherever
-    the result is a normal float it is within 4e-16 relative of a 200-bit
-    erfc of the same argument.  ``0.5 * scipy.special.erfc(-x / sqrt(2))``
-    differs from it by less than 4.5e-15 relative for |x| <= 10 and by up
-    to 5.7e-14 in the far lower tail (x near -36), where scipy is the
-    less accurate of the two.
+    Wherever the result is a normal float it is within 4e-16 relative of
+    a 200-bit erfc of the same argument.
+    ``0.5 * scipy.special.erfc(-x / sqrt(2))`` differs from it by less
+    than 4.5e-15 relative for |x| <= 10 and by up to 5.7e-14 in the far
+    lower tail (x near -36), where scipy is the less accurate of the two.
     """
-    if isinstance(x, float):
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
     return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # Endowment maps
-
-
-class AffineMap:
-    """f(q) = shift + slope * q with shift, slope >= 0."""
-
-    def __init__(self, shift: float, slope: float):
-        if not (np.isfinite(shift) and np.isfinite(slope)):
-            raise ModelError("affine map parameters must be finite")
-        if shift < 0.0 or slope < 0.0:
-            raise ModelError("affine map needs shift >= 0 and slope >= 0")
-        self.shift = float(shift)
-        self.slope = float(slope)
-
-    def __call__(self, q):
-        return self.shift + self.slope * np.asarray(q, dtype=float)
 
 
 class PowerMap:
@@ -84,10 +65,24 @@ class PowerMap:
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
-        if self.exponent == 0.0:
-            return self.shift + self.coef * np.ones_like(q)
         with np.errstate(over="ignore"):
             return self.shift + self.coef * np.power(q, self.exponent)
+
+
+class AffineMap(PowerMap):
+    """f(q) = shift + slope * q with shift, slope >= 0: the power map of
+    exponent 1 (``q**1 == q`` exactly)."""
+
+    def __init__(self, shift: float, slope: float):
+        if not (np.isfinite(shift) and np.isfinite(slope)):
+            raise ModelError("affine map parameters must be finite")
+        if shift < 0.0 or slope < 0.0:
+            raise ModelError("affine map needs shift >= 0 and slope >= 0")
+        super().__init__(slope, 1.0, shift)
+
+    @property
+    def slope(self) -> float:
+        return self.coef
 
 
 class TabulatedMap:
@@ -173,13 +168,6 @@ class LogNormal:
     def prob_interval(self, a: float, b: float) -> float:
         return self.survival(a) - self.survival(b)
 
-    def partial_power(self, c: float, a: float, b: float) -> float:
-        """E[q**c 1{a <= q < b}] in closed form."""
-        if a == b:
-            return 0.0
-        upper = self.tails(c, [a, b])[:, 0]
-        return self.moment(c) * float(upper[0] - upper[1])
-
     def moment(self, c: float) -> float:
         """E[q**c]."""
         return math.exp(c * self.mu + 0.5 * c * c * self.sigma * self.sigma)
@@ -224,9 +212,6 @@ class PointMass:
     def prob_below(self, t: float) -> float:
         return float(self.probs[self.atoms < t].sum())
 
-    def survival(self, t: float) -> float:
-        return float(self.probs[self.atoms >= t].sum())
-
     def prob_interval(self, a: float, b: float) -> float:
         sel = (self.atoms >= a) & (self.atoms < b)
         return float(self.probs[sel].sum())
@@ -265,9 +250,6 @@ class Uniform01:
 
     def prob_below(self, t: float) -> float:
         return float(np.clip(t, 0.0, 1.0))
-
-    def survival(self, t: float) -> float:
-        return 1.0 - self.prob_below(t)
 
     def prob_interval(self, a: float, b: float) -> float:
         return self.prob_below(b) - self.prob_below(a)
@@ -341,22 +323,21 @@ def partial_expectation(dist, f, a: float, b: float):
     (prob, pe) : tuple of float
         ``P(q in [a, b))`` and ``E[f(q) 1{q in [a, b)}]``.
 
-    Closed forms cover discrete laws and lognormal factors paired with
-    affine or power maps; anything else integrates adaptively.
+    Closed forms cover discrete laws, lognormal factors paired with power
+    maps (the one-interval entry of ``_interval_moments``) and uniform
+    factors paired with affine maps; anything else integrates adaptively.
     """
     if a > b:
         raise ModelError(f"interval endpoints out of order: a={a} > b={b}")
     if a == b:
         return 0.0, 0.0
+    if isinstance(dist, LogNormal) and isinstance(f, PowerMap):
+        prob, pe = _interval_moments((f,), dist, np.array([b, a]))
+        return float(prob[0]), float(pe[0, 0])
     prob = dist.prob_interval(a, b)
 
     if isinstance(dist, PointMass):
         return prob, dist.partial_map(f, a, b)
-    if isinstance(dist, LogNormal):
-        if isinstance(f, AffineMap):
-            return prob, f.shift * prob + f.slope * dist.partial_power(1.0, a, b)
-        if isinstance(f, PowerMap):
-            return prob, f.shift * prob + f.coef * dist.partial_power(f.exponent, a, b)
     if isinstance(dist, Uniform01) and isinstance(f, AffineMap):
         lo, hi = max(a, 0.0), min(b, 1.0)
         if hi <= lo:
@@ -367,6 +348,14 @@ def partial_expectation(dist, f, a: float, b: float):
 
 # ---------------------------------------------------------------------------
 # Factor model
+
+
+def _map_params(f):
+    """``(shift, coef, exponent)`` arrays when every map of ``f`` is a
+    ``PowerMap`` (``AffineMap`` included), else None."""
+    if not all(isinstance(fi, PowerMap) for fi in f):
+        return None
+    return tuple(np.array([getattr(fi, k) for fi in f]) for k in ("shift", "coef", "exponent"))
 
 
 _MONOTONE_GRID = np.concatenate(([0.0], np.geomspace(1e-9, 1e6, 151)))
@@ -391,15 +380,26 @@ class FactorModel:
             _check_monotone(fi, f"map {i}", grid)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "_params", _map_params(f))
 
     @property
     def n(self) -> int:
         return len(self.f)
 
     def endowments(self, q):
-        """Evaluate all maps at scalar or vector ``q``; banks on the last axis."""
+        """Evaluate all maps at ``q`` of any shape; banks on the last axis.
+
+        When every map is a ``PowerMap`` this is one array expression in
+        place of ``n`` map calls.  At exponents 0.5 and 2 numpy's
+        single-map ``np.power`` takes its ``sqrt`` and square fast paths,
+        which may differ from this broadcast ``pow`` in the last bit.
+        """
         q = np.asarray(q, dtype=float)
-        return np.stack([np.broadcast_to(fi(q), q.shape) for fi in self.f], axis=-1)
+        if self._params is None:
+            return np.stack([np.broadcast_to(fi(q), q.shape) for fi in self.f], axis=-1)
+        shift, coef, expo = self._params
+        with np.errstate(over="ignore"):
+            return shift + coef * np.power(q[..., None], expo)
 
 
 # ---------------------------------------------------------------------------
@@ -430,35 +430,6 @@ class SolvencyThresholds:
         pos = np.empty(self.order.size, dtype=int)
         pos[self.order] = np.arange(1, self.order.size + 1)
         return pos
-
-
-def _map_params(model: FactorModel):
-    """``(shift, coef, exponent)`` arrays when every map is a ``PowerMap``
-    or an ``AffineMap`` (coef = slope, exponent 1), else None."""
-    rows = []
-    for fi in model.f:
-        if isinstance(fi, AffineMap):
-            rows.append((fi.shift, fi.slope, 1.0))
-        elif isinstance(fi, PowerMap):
-            rows.append((fi.shift, fi.coef, fi.exponent))
-        else:
-            return None
-    return tuple(np.array(col) for col in zip(*rows))
-
-
-def _endowments_at(model: FactorModel, params, q: np.ndarray) -> np.ndarray:
-    """All maps at each factor value of the 1-d ``q``; banks on the last axis.
-
-    With ``params`` from ``_map_params`` this is one array expression in
-    place of ``n`` Python calls per probe, with the bits of the maps' own
-    ``__call__`` (``q**1 == q`` and ``q**0 == 1`` exactly).  The benchmark
-    tracer counts map ``__call__``s, so it does not see these evaluations.
-    """
-    if params is None:
-        return model.endowments(q)
-    shift, coef, expo = params
-    with np.errstate(over="ignore"):
-        return shift + coef * np.power(q[:, None], expo)
 
 
 def _sup_insolvent_bisect(g, target: np.ndarray, hint: float, cap) -> np.ndarray:
@@ -554,10 +525,9 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     if model.n != net.n:
         raise ModelError(f"model has {model.n} maps but network has {net.n} banks")
     n = net.n
-    params = _map_params(model)
     affine = None
-    if params is not None:
-        shift, coef, expo = params
+    if model._params is not None:
+        shift, coef, expo = model._params
         powers = expo[expo > 0.0]
         power = float(powers[0]) if powers.size else 1.0
         if np.all(powers == power):
@@ -594,7 +564,7 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
             rows = D[remaining]
 
             def g(q, sel, rows=rows):
-                X = _endowments_at(model, params, q)
+                X = model.endowments(q)
                 return (rows[sel][:, None, :] @ X[:, :, None])[:, 0, 0]
 
             sups = _sup_insolvent_bisect(g, target, q_prev, cap)
@@ -615,32 +585,33 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
 # Expected values
 
 
-def _interval_moments(model: FactorModel, qs: np.ndarray):
+def _interval_moments(f, dist, qs: np.ndarray):
     """``P(I_k)`` and ``E[f_i(q) 1{q in I_k}]`` over ``I_k = [qs[k+1], qs[k])``.
 
-    A lognormal factor with affine or power maps takes the closed form of
-    ``partial_expectation`` as array expressions, one tail per distinct
-    exponent; anything else calls ``partial_expectation`` per interval and
-    map.  Empty intervals are left to the caller.
+    Under a lognormal factor every ``PowerMap`` column takes the closed
+    form ``shift P(I_k) + coef E[q**c] P_c(I_k)``, ``P_c`` the law tilted
+    by ``q**c``, as array expressions with one tail per distinct exponent.
+    Other columns call ``partial_expectation`` once per nonempty interval.
+    Empty intervals are left to the caller.
     """
-    params = _map_params(model)
-    dist = model.dist
-    if isinstance(dist, LogNormal) and params is not None:
-        shift, coef, expo = params
+    a, b = qs[1:], qs[:-1]
+    pe = np.zeros((a.size, len(f)))
+    prob = np.zeros(a.size)
+    lognormal = isinstance(dist, LogNormal)
+    power = [i for i, fi in enumerate(f) if lognormal and isinstance(fi, PowerMap)]
+    if power:
+        shift, coef, expo = _map_params([f[i] for i in power])
         # np.unique imports numpy.ma on first use (numpy 2.4), 5 ms of a CLI call
         expos = np.array(sorted(set(expo.tolist())))
-        col = np.searchsorted(expos, expo)
         surv = dist.tails(0.0, qs)[:, 0]
         tails = dist.tails(expos, qs)
         prob = surv[1:] - surv[:-1]
-        power = np.array([dist.moment(c) for c in expos]) * (tails[1:] - tails[:-1])
-        return prob, shift * prob[:, None] + coef * power[:, col]
-    a, b = qs[1:], qs[:-1]
-    pe = np.zeros((a.size, model.n))
-    prob = np.zeros(a.size)
+        moments = np.array([dist.moment(c) for c in expos]) * (tails[1:] - tails[:-1])
+        pe[:, power] = shift * prob[:, None] + coef * moments[:, np.searchsorted(expos, expo)]
+    rest = [i for i in range(len(f)) if i not in power]
     for k in np.flatnonzero(a < b):
-        prob[k] = dist.prob_interval(a[k], b[k])
-        pe[k] = [partial_expectation(dist, fi, a[k], b[k])[1] for fi in model.f]
+        for i in rest:
+            prob[k], pe[k, i] = partial_expectation(dist, f[i], a[k], b[k])
     return prob, pe
 
 
@@ -669,7 +640,7 @@ def expected_values(
     th = thresholds if thresholds is not None else solvency_thresholds(net, model)
     n = net.n
     qs = th.sorted_with_sentinels()
-    prob, pe = _interval_moments(model, qs)
+    prob, pe = _interval_moments(model.f, model.dist, qs)
 
     terms = np.zeros((n + 1, n))
     for k in np.flatnonzero(qs[1:] < qs[:-1]):

@@ -121,6 +121,22 @@ def test_clear_loads_no_scipy(two_bank_csv):
     assert proc.stdout.strip() == "[]"
 
 
+def test_bounds_finite_loads_no_numpy_ma(tmp_path, two_bank_csv):
+    # np.unique imports numpy.ma on first use; the finite support grid avoids it
+    marginals = tmp_path / "finite.json"
+    marginals.write_text(json.dumps(GOLDEN_INPUTS["bounds_finite.json"]))
+    code = (
+        "import sys\n"
+        "from netval.cli import main\n"
+        f"argv = ['bounds', {two_bank_csv!r}, {str(marginals)!r}, '--output', {os.devnull!r}]\n"
+        "assert main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_q_star(two_bank_csv, bench_model):
     proc = run_cli("q-star", two_bank_csv, bench_model, check=True)
     rows = parse_csv(proc.stdout)
@@ -281,6 +297,20 @@ def test_netval_seed_env(tmp_path):
         "simulate", str(scenario), "--paths", "3", env={"NETVAL_SEED": "11"}, check=True
     )
     assert via_flag.stdout == via_env.stdout
+
+
+def test_seed_only_where_drawn(tmp_path, two_bank_csv):
+    # clear draws nothing: it neither reads NETVAL_SEED nor takes --seed
+    bad_env = {"NETVAL_SEED": "abc"}
+    assert run_cli("clear", two_bank_csv, "--x", "2.5,3", env=bad_env).returncode == 0
+    assert run_cli("clear", two_bank_csv, "--x", "2.5,3", "--seed", "3").returncode == 2
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(
+        json.dumps({"kind": "comonotonic-factor", "model": GOLDEN_LOGNORMAL_MODEL})
+    )
+    proc = run_cli("simulate", str(scenario), "--paths", "3", env=bad_env)
+    assert proc.returncode == 4
+    assert "NETVAL_SEED" in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_output_file(tmp_path, two_bank_csv, bench_model):

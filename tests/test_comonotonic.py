@@ -32,7 +32,7 @@ from netval import (
     solvency_thresholds,
 )
 from netval import comonotonic
-from netval.capm import CapmParams, _eta_maps
+from netval.capm import CapmParams, _eta_maps, price_and_cap
 from netval.clearing import _external_share, _intercept_rhs
 from netval.comonotonic import norm_cdf
 
@@ -412,19 +412,28 @@ def test_lognormal_pd_matches_prob_below():
         assert ev.pd.tolist() == [dist.prob_below(q) for q in ev.thresholds.q_star]
 
 
-def test_array_endowments_match_map_calls():
-    # the bisection evaluates affine and power maps as one array expression;
-    # it must give the bits of the maps' own __call__, including exponents
-    # 0 and 1, q = 0 and overflow to inf
+def test_factor_model_endowments():
+    # all-power models evaluate as one broadcast np.power; it has the bits of
+    # the maps' own __call__ (q**1 == q, q**0 == 1, q = 0, overflow to inf)
+    # except at exponents 0.5 and 2, where the single-map np.power takes its
+    # sqrt and square fast paths and may differ by one spacing
     maps = [
         AffineMap(0.3, 2.5), AffineMap(0.0, 0.0), PowerMap(1.7, 0.0, 0.2),
         PowerMap(0.9, 1.0), PowerMap(2.0, 0.37, 1.1), PowerMap(3.0, 50.0),
+        PowerMap(1.0, 0.5), PowerMap(1.0, 2.0),
     ]
+    slow = np.isin([f.exponent for f in maps], [0.5, 2.0])
     model = FactorModel(maps, LogNormal(0.0, 1.0))
-    q = np.concatenate(([0.0, 1e-300, 0.5, 1.0, 7.25, 1e20], np.geomspace(1e-6, 1e6, 37)))
-    fast = comonotonic._endowments_at(model, comonotonic._map_params(model), q)
-    assert np.array_equal(fast, model.endowments(q))
-    assert np.isinf(fast[5, -1])  # q = 1e20
+    mixed = FactorModel(maps + [TabulatedMap([0.0, 1.0], [0.5, 2.0])], LogNormal(0.0, 1.0))
+    q1 = np.concatenate(([0.0, 1e-300, 0.5, 1.0, 7.25, 1e20], np.geomspace(1e-6, 1e6, 42)))
+    for q in (np.float64(7.25), 0.5, q1, q1.reshape(6, 8)):
+        calls = np.stack([np.broadcast_to(f(q), np.shape(q)) for f in mixed.f], axis=-1)
+        assert np.array_equal(mixed.endowments(q), calls)
+        got, want = model.endowments(q), calls[..., :-1]
+        assert got.shape == np.shape(q) + (len(maps),)
+        assert np.array_equal(got[..., ~slow], want[..., ~slow])
+        assert np.all(np.abs(got[..., slow] - want[..., slow]) <= np.spacing(want[..., slow]))
+    assert np.isinf(model.endowments(q1)[5, 5])  # q = 1e20, exponent 50
 
 
 class _RecordingMap(TabulatedMap):
@@ -583,3 +592,219 @@ def test_identity_random_models(seed):
     assert np.all((ev.pd >= -1e-15) & (ev.pd <= 1.0 + 1e-15))
     assert np.all(ev.Ep <= net.p_bar + 1e-10)
     assert np.all(ev.EE >= -1e-12)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the parent implementation
+
+PINNED_L4 = [
+    [0.0, 0.6, 0.0, 0.9, 1.2], [0.4, 0.0, 0.7, 0.0, 0.8],
+    [0.0, 0.5, 0.0, 0.3, 1.5], [0.8, 0.0, 0.2, 0.0, 0.6],
+]
+PINNED_L2 = [[0.0, 7.0, 3.0], [3.0, 0.0, 3.0]]
+
+
+def _pinned_tabulated():
+    return TabulatedMap([0.0, 0.5, 1.5, 4.0], [0.3, 0.9, 1.6, 2.4])
+
+
+def _pinned_models():
+    power = [PowerMap(1.4, 0.5, 0.1), PowerMap(0.9, 1.0), PowerMap(0.6, 2.0)]
+    affine = [AffineMap(0.1, 1.1), AffineMap(0.0, 1.6), AffineMap(0.3, 0.7), AffineMap(0.05, 1.3)]
+    mixed = [_pinned_tabulated(), power[0], AffineMap(0.2, 0.9), power[2]]
+    dist = LogNormal(-0.2, 0.6)
+    return {
+        "lognormal-mixed": FactorModel(mixed, dist),
+        "lognormal-power": FactorModel(power + [PowerMap(0.8, 0.37, 0.3)], dist),
+        "pointmass-affine": FactorModel(
+            affine, PointMass([0.2, 0.7, 1.1, 1.9], [0.1, 0.3, 0.4, 0.2])
+        ),
+        "uniform-affine": FactorModel(affine, Uniform01()),
+    }
+
+
+# repr floats captured before the comonotonic layer moved to one evaluation
+# path per quantity: ("ev", model, alpha) -> order, pd, EV, Ep, EE, q_star;
+# ("pe", law, map) -> (prob, pe) on [0.3, 0.95), [0, inf), [0.8, inf);
+# ("capm", net, alpha, side) -> price, cap with per-bank beta
+PARENT_VALUES = {
+    ('ev', 'lognormal-mixed', 1.0): [
+        [2, 0, 3, 1],
+        [0.7264921588885174, 0.315721169464274, 0.735520152478178, 0.5689900586829311],
+        [-0.9576054429340013, 0.4248755594560228, -0.2958587166387113, 0.6787984337633683],
+        [2.1390443354903663, 1.7766421635372822, 1.7668530859784248, 1.2394806484252339],
+        [-0.39664977842436755, 0.5482333959187407, 0.2372881973828636, 1.0393177853381346],
+        [1.3053766214486866, 0.5646369800474863, 1.3333333333139308, 0.9367185860315828],
+    ],
+    ('ev', 'lognormal-mixed', 0.7): [
+        [2, 0, 3, 1],
+        [0.7264921588885174, 0.48389724317258476, 0.735520152478178, 0.6703758046665932],
+        [-1.5547250258734036, -0.011212646698633755, -0.7590810565976953, 0.2725283357253888],
+        [1.541924752550964, 1.4535489705397702, 1.303630746019441, 0.8699552201744382],
+        [-0.39664977842436755, 0.43523838276159615, 0.2372881973828636, 1.0025731155509507],
+        [1.3053766214486866, 0.7935219917619876, 1.3333333333139308, 1.152068775921868],
+    ],
+    ('ev', 'lognormal-power', 1.0): [
+        [2, 1, 0, 3],
+        [0.6105202859906919, 0.6320701033992062, 0.7896268902564243, 0.16656818425955788],
+        [-0.14482891876448362, -0.09171931802331779, -0.2338571343690986, 0.4342388236396908],
+        [2.3598883924377447, 1.4515493568821165, 1.3303531795454182, 1.5682957322097573],
+        [0.195282688797772, 0.35673132509456584, 0.735789686085483, 0.46594309142993356],
+        [1.0175626205872843, 1.0632213181482069, 1.5275252316496335, 0.3868698684593147],
+    ],
+    ('ev', 'lognormal-power', 0.7): [
+        [2, 1, 0, 3],
+        [0.6721949204195069, 0.6721949204195069, 0.7896268902564243, 0.4269298791816615],
+        [-0.7392085937276878, -0.4947851993183123, -0.6108271296611176, 0.02407483332267013],
+        [1.7689500203395978, 1.0656875540432877, 0.9533831842533993, 1.2996127716278063],
+        [0.19184138593271458, 0.33952724663840006, 0.735789686085483, 0.32446206169486386],
+        [1.1565671536147146, 1.1565671536147146, 1.5275252316496335, 0.7098670728417854],
+    ],
+    ('ev', 'pointmass-affine', 1.0): [
+        [2, 0, 1, 3],
+        [0.8, 0.1, 0.8, 0.1],
+        [-0.31718804432082415, 0.6770951638615359, -0.4220589120423143, 0.8022194894527566],
+        [2.244811955679176, 1.77646231361999, 1.8319410879576854, 1.507639779307829],
+        [0.13799999999999996, 0.800632850241546, 0.04600000000000004, 0.8945797101449275],
+        [1.2727272727272725, 0.6762642148560367, 1.5714285714285714, 0.5635076737541816],
+    ],
+    ('ev', 'pointmass-affine', 0.7): [
+        [2, 0, 1, 3],
+        [0.8, 0.4, 0.8, 0.4],
+        [-0.9409837970498331, 0.2733290496958868, -0.9216840777125972, 0.3830476982305553],
+        [1.6210162029501671, 1.5052382284398482, 1.3323159222874026, 1.3008332054769323],
+        [0.13799999999999996, 0.6680908212560388, 0.04600000000000004, 0.6822144927536231],
+        [1.2727272727272725, 0.8069570586873183, 1.5714285714285714, 0.7376618904684826],
+    ],
+    ('ev', 'uniform-affine', 1.0): [
+        [2, 0, 1, 3],
+        [1.0, 0.6762642148560367, 1.0, 0.5635076737541816],
+        [-1.1752380813527936, -0.48216685479457877, -1.0166130488944287, -0.224347729147306],
+        [1.5247619186472066, 1.313205492905271, 1.283386951105571, 1.19659520870272],
+        [0.0, 0.10462765230015042, 0.0, 0.17905706214997402],
+        [1.2727272727272725, 0.6762642148560367, 1.5714285714285714, 0.5635076737541816],
+    ],
+    ('ev', 'uniform-affine', 0.7): [
+        [2, 0, 1, 3],
+        [1.0, 0.8069570586873183, 1.0, 0.7376618904684826],
+        [-1.8170737727461297, -0.966378122103623, -1.5393725149686173, -0.6884213448085647],
+        [0.8829262272538705, 0.8986363419381875, 0.7606274850313826, 0.8442731669769341],
+        [0.0, 0.034985535958189595, 0.0, 0.06730548821450134],
+        [1.2727272727272725, 0.8069570586873183, 1.5714285714285714, 0.7376618904684826],
+    ],
+    ('pe', 'lognormal', 'affine'): [
+        [0.4534311837466316, 0.5268228050755024],
+        [1.0, 1.8367221934983418],
+        [0.4657617780757588, 1.3221748768501331],
+    ],
+    ('pe', 'lognormal', 'power'): [
+        [0.4534311837466316, 0.3849085205350955],
+        [1.0, 0.956249786981705],
+        [0.4657617780757588, 0.5444638002557978],
+    ],
+    ('pe', 'lognormal', 'tabulated'): [
+        [0.4534311837466316, 0.4387181973406781],
+        [1.0, 4.560418472157068e-244],
+        [0.4657617780757588, 4.560418472140547e-244],
+    ],
+    ('pe', 'pointmass', 'affine'): [
+        [0.4, 0.6280000000000001],
+        [1.0, 2.337],
+        [0.8999999999999999, 2.2710000000000004],
+    ],
+    ('pe', 'pointmass', 'power'): [
+        [0.4, 0.38776533862248147],
+        [1.0, 1.0841774475527408],
+        [0.8999999999999999, 1.0200741476635233],
+    ],
+    ('pe', 'pointmass', 'tabulated'): [
+        [0.4, 0.49321061381621156],
+        [1.0, 1.4999555950063654],
+        [0.8999999999999999, 1.4433676431991365],
+    ],
+    ('pe', 'uniform', 'affine'): [
+        [0.6499999999999999, 0.788125],
+        [1.0, 1.05],
+        [0.19999999999999996, 0.31399999999999995],
+    ],
+    ('pe', 'uniform', 'power'): [
+        [0.6499999999999999, 0.562107128459957],
+        [1.0, 0.7839416058396815],
+        [0.19999999999999996, 0.19380866634263352],
+    ],
+    ('pe', 'uniform', 'tabulated'): [
+        [0.6499999999999999, 0.6511103350804729],
+        [1.0, 0.8652241856974248],
+        [0.19999999999999996, 0.24646137781896818],
+    ],
+    ('capm', 'two', 1.0, 'lower'): [
+        [0.49196733290695827, 0.6935048159735865],
+        [0.16084111885117508, 3.2827424345071914],
+    ],
+    ('capm', 'two', 1.0, 'upper'): [
+        [0.5327511595522942, 0.777556082054912],
+        [0.005156650641792348, 3.0639216245365897],
+    ],
+    ('capm', 'two', 0.6, 'lower'): [
+        [0.27423469005622064, 0.4435236200481431],
+        [0.16084111885117508, 2.6617132680103786],
+    ],
+    ('capm', 'two', 0.6, 'upper'): [
+        [0.2700671144951222, 0.48869844793945744],
+        [0.005156650641792348, 2.2795160086977946],
+    ],
+    ('capm', 'four', 1.0, 'lower'): [
+        [0.8851748347845813, 0.9042227930349719, 0.7851791710055377, 0.8729172771329025],
+        [1.6700508850019418, 3.205671179607071, 1.5016273172383252, 3.1355434591951408],
+    ],
+    ('capm', 'four', 1.0, 'upper'): [
+        [0.936250788902078, 0.9358776896521973, 0.8340960683516331, 0.9159259042399918],
+        [1.5792146692172613, 3.200630897177889, 1.4198786063957811, 3.127373083733374],
+    ],
+    ('capm', 'four', 0.6, 'lower'): [
+        [0.7892754844328562, 0.82631688564106, 0.6445781373226358, 0.7676879553171773],
+        [1.6675503064967618, 3.133654139255529, 1.5016273172383252, 3.111879640301711],
+    ],
+    ('capm', 'four', 0.6, 'upper'): [
+        [0.8960384967177738, 0.9006870698897945, 0.709144747717236, 0.8361758423919045],
+        [1.541319193984265, 3.137872872828563, 1.4198786063957811, 3.104191797748452],
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(PARENT_VALUES), ids=lambda k: "-".join(map(str, k)))
+def test_comonotonic_values_match_parent(key):
+    want = PARENT_VALUES[key]
+    if key[0] == "ev":
+        _, name, alpha = key
+        ev = expected_values(build_network(PINNED_L4, alpha, alpha), _pinned_models()[name])
+        got = [ev.thresholds.order.tolist()] + [
+            getattr(ev, k).tolist() for k in ("pd", "EV", "Ep", "EE")
+        ] + [ev.thresholds.q_star.tolist()]
+    elif key[0] == "pe":
+        laws = {
+            "lognormal": LogNormal(-0.3, 0.8),
+            "pointmass": PointMass([0.2, 0.9, 1.7, 3.0], [0.1, 0.4, 0.3, 0.2]),
+            "uniform": Uniform01(),
+        }
+        maps = {
+            "affine": AffineMap(0.4, 1.3),
+            "power": PowerMap(0.8, 0.37, 0.2),
+            "tabulated": _pinned_tabulated(),
+        }
+        law, f = laws[key[1]], maps[key[2]]
+        got = [
+            list(map(float, partial_expectation(law, f, a, b)))
+            for a, b in ((0.3, 0.95), (0.0, np.inf), (0.8, np.inf))
+        ]
+    else:
+        _, name, alpha, which = key
+        L = PINNED_L2 if name == "two" else PINNED_L4
+        n = len(L)
+        params = CapmParams(
+            r=0.03, T=2.0, sigma_M=0.8, beta=np.linspace(0.3, 1.1, n), gamma=[0.4] * n,
+            s=[3.0, 4.0, 2.5, 3.5][:n],
+        )
+        price, cap = price_and_cap(build_network(L, alpha, alpha), params, which, force=True)
+        got = [price.tolist(), cap.tolist()]
+    assert got == want
