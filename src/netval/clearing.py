@@ -46,7 +46,7 @@ def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     uses) keep full assets; defaulting banks keep ``alpha_x`` of external
     and ``alpha_L`` of interbank assets.  Interbank assets are the payments
     ``p_bar - max(-V, 0)`` received plus the held shares
-    ``Gamma^T max(V, 0)`` of other banks' equity, as in ``_system_matrix``.
+    ``Gamma^T max(V, 0)`` of other banks' equity, as in ``_coupled``.
     """
     x = np.asarray(x, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -57,23 +57,30 @@ def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     return ax * x + aL * (net.Pi.T @ pay + net.Gamma.T @ np.maximum(V, 0.0)) - net.p_bar
 
 
-def _system_matrix(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
-    # M = I - (I - (1-aL) diag(z)) [Pi^T diag(z) + Gamma^T (I - diag(z))]
-    zf = z.astype(float)
-    b = 1.0 - (1.0 - net.alpha_L) * zf
-    inner = net.Pi.T * zf[None, :] + net.Gamma.T * (1.0 - zf)[None, :]
-    return np.eye(net.n) - b[:, None] * inner
+def _coupled(net: FinancialNetwork, z: np.ndarray):
+    """``(T, KT, A)``: ``M(z) = I - K`` with ``K = diag(b) [Pi^T diag(z) + Gamma^T diag(1 - z)]``,
+    ``b = 1 - (1 - alpha_L) z``, and ``K`` is zero outside the columns ``T`` of the defaulting
+    and the held (nonzero ``Gamma`` row) banks.  With ``KT = K[:, T]^T`` and ``A = I - K[T, T]``,
+    ``M(z) V = r`` is ``A V_T = r_T`` and ``V = r + K[:, T] V_T``."""
+    T = np.flatnonzero(z | net.Gamma.any(axis=1))
+    b = 1.0 - (1.0 - net.alpha_L) * z
+    KT = np.where(z[T, None], net.Pi[T], net.Gamma[T]) * b
+    return T, KT, np.eye(T.size) - KT[:, T].T
 
 
-def _solve(net: FinancialNetwork, z: np.ndarray, *rhs: np.ndarray) -> list:
-    # one solve per right-hand side on one M: a joint solve moves the intercept's last bits
-    M = _system_matrix(net, z)
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     try:
-        return [np.linalg.solve(M, r) for r in rhs]
+        return np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(
-            "internal invariant violation: clearing system is singular"
-        ) from exc
+        raise RuntimeError("internal invariant violation: clearing system is singular") from exc
+
+
+def _inverse(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
+    # M(z)^{-1} is the identity except in columns T, where it is E_T + K[:, T] A^{-1}
+    T, KT, A = _coupled(net, z)
+    Minv = np.eye(net.n)
+    Minv[:, T] += KT.T @ _solve(A, np.eye(T.size))
+    return Minv
 
 
 def _external_share(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
@@ -111,14 +118,14 @@ def _default_update(net: FinancialNetwork, Minv: np.ndarray, z: np.ndarray, j: i
 
 def delta_matrix(net: FinancialNetwork, z) -> np.ndarray:
     """Sensitivity of clearing wealths to endowments for default set ``z``."""
-    z = np.asarray(z)
-    return _solve(net, z, np.eye(net.n) * _external_share(net, z))[0]
+    z = np.asarray(z, dtype=bool)
+    return _inverse(net, z) * _external_share(net, z)
 
 
 def delta_vector(net: FinancialNetwork, z) -> np.ndarray:
     """Intercept of the affine wealth map for default set ``z``."""
-    z = np.asarray(z)
-    return _solve(net, z, _intercept_rhs(net, z))[0]
+    z = np.asarray(z, dtype=bool)
+    return _inverse(net, z) @ _intercept_rhs(net, z)
 
 
 def _clear(net: FinancialNetwork, X: np.ndarray):
@@ -131,28 +138,24 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     rows are keyed by default pattern, packed little-endian into
     ``ceil(n/64)`` uint64 words; one stable ``lexsort`` brings equal keys
     together with rows in ascending order, and groups are cut where the
-    sorted key changes.  A group of at most ``n`` rows whose pattern has
-    no cached map is solved directly: one factorization with the group's
-    rows as right-hand sides, nothing kept.  A larger group forms the
-    affine map ``(Delta(z), delta(z))``, caches it for later rounds and
-    applies it by one matrix product, so the cache holds only maps of
-    groups with more than ``n`` rows.
+    sorted key changes.  Each group solves only the coupled block of its
+    pattern (``_coupled``) for ``R = a_x X - c``: by one LU with its rows as
+    right-hand sides if it has at most ``|T|`` rows, else by one product
+    with ``A^{-1}``; then ``V = R + K[:, T] V_T``.  Nothing is kept.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
     m = X.shape[0]
 
-    cache = {}
-
     def wealths(z, Xg):
-        zkey = z.tobytes()
-        if zkey not in cache:
-            a_x, c = _external_share(net, z), _intercept_rhs(net, z)
-            if Xg.shape[0] <= net.n:
-                return _solve(net, z, (Xg * a_x - c).T)[0].T
-            cache[zkey] = _solve(net, z, np.eye(net.n) * a_x, c)
-        D, d = cache[zkey]
-        return Xg @ D.T - d
+        R = Xg * _external_share(net, z)
+        R -= _intercept_rhs(net, z)
+        T, KT, A = _coupled(net, z)
+        if Xg.shape[0] <= T.size:
+            R += _solve(A, R[:, T].T).T @ KT
+        elif T.size:
+            R += R[:, T] @ _solve(A, np.eye(T.size)).T @ KT
+        return R
 
     Z = np.zeros((m, net.n), dtype=bool)
     V = wealths(np.zeros(net.n, dtype=bool), X)

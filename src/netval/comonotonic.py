@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import _default_update, _external_share, _intercept_rhs, _solve, _system_matrix
+from .clearing import _coupled, _default_update, _external_share, _intercept_rhs, _inverse
 from .network import FinancialNetwork
 
 BISECT_REL_TOL = 1e-10
@@ -492,11 +492,13 @@ DRIFT_TOL = 1e-12
 def _drift(
     net: FinancialNetwork, z: np.ndarray, Minv: np.ndarray, d: np.ndarray, c: np.ndarray
 ) -> float:
-    """``max(||M(z) d - c||_inf / max(p_bar), ||M(z) Minv 1 - 1||_inf)``."""
-    M = _system_matrix(net, z)
+    """``max(||M(z) d - c||_inf / max(p_bar), ||M(z) Minv 1 - 1||_inf)``, O(n |T|)."""
+    T, KT, _ = _coupled(net, z)
+    W = np.stack((d, Minv.sum(axis=1)))
+    W -= W[:, T] @ KT  # M(z) v = v - K[:, T] v_T
     return max(
-        float(np.max(np.abs(M @ d - c))) / float(net.p_bar.max()),
-        float(np.max(np.abs(M @ Minv.sum(axis=1) - 1.0))),
+        float(np.max(np.abs(W[0] - c))) / float(net.p_bar.max()),
+        float(np.max(np.abs(W[1] - 1.0))),
     )
 
 
@@ -513,14 +515,13 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     ``u``, mapped back by ``u**(1/c)``; otherwise all still-solvent banks
     are bisected together.
 
-    The sweep carries ``M(z)^{-1}`` instead of factoring ``M(z)`` anew: a
-    default changes one row and one column of ``M``, a rank-two update
-    (Woodbury), so a step costs O(n^2).  Each rung is
-    ``Delta_k = M^{-1} diag(a_x(z))`` and ``delta_k = M^{-1} c(z)``.  A
-    drift guard checks the inverse on two directions every step,
-    ``||M(z) delta_k - c(z)||_inf / max(p_bar)`` and
-    ``||M(z) M^{-1} 1 - 1||_inf``, and inverts ``M(z)`` afresh when either
-    passes ``DRIFT_TOL``.
+    The sweep carries ``M(z)^{-1}`` instead of factoring ``M(z)`` anew: a default
+    changes one row and one column of ``M``, a rank-two update (Woodbury), so a step
+    costs O(n^2).  Each rung is ``Delta_k = M^{-1} diag(a_x(z))`` and
+    ``delta_k = M^{-1} c(z)``.  A drift guard checks the inverse on two directions every
+    step, ``||M(z) delta_k - c(z)||_inf / max(p_bar)`` and ``||M(z) M^{-1} 1 - 1||_inf``,
+    and inverts ``M(z)`` afresh when either passes ``DRIFT_TOL``.  Inverses and the
+    guard's products use only the coupled block of ``M(z)`` (``clearing._coupled``).
     """
     if model.n != net.n:
         raise ModelError(f"model has {model.n} maps but network has {net.n} banks")
@@ -539,7 +540,7 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     q_star = np.empty(n)
     order = np.empty(n, dtype=int)
     ladder = []
-    Minv = _solve(net, z, np.eye(n))[0]
+    Minv = _inverse(net, z)
     remaining = np.arange(n)
     q_prev = np.inf
 
@@ -547,7 +548,7 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
         c = _intercept_rhs(net, z)
         d = Minv @ c
         if _drift(net, z, Minv, d, c) > DRIFT_TOL:
-            Minv = _solve(net, z, np.eye(n))[0]
+            Minv = _inverse(net, z)
             d = Minv @ c
         D = Minv * _external_share(net, z)
         ladder.append((D, d))

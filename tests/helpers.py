@@ -28,6 +28,28 @@ def random_net(rng, n=None, alpha=1.0):
     return build_network(L, alpha, alpha)
 
 
+def dense_system(net, z):
+    """``M(z) = I - diag(b) [Pi^T diag(z) + Gamma^T diag(1 - z)]``, built densely.
+
+    ``b = 1 - (1 - alpha_L) z`` scales a defaulting bank's interbank assets.
+    A reference for the library's default-set system that shares no code
+    with it.
+    """
+    zf = np.asarray(z, dtype=float)
+    b = 1.0 - (1.0 - net.alpha_L) * zf
+    inner = net.Pi.T * zf[None, :] + net.Gamma.T * (1.0 - zf)[None, :]
+    return np.eye(net.n) - b[:, None] * inner
+
+
+def dense_map(net, z):
+    """``(Delta(z), delta(z))`` of ``V = Delta x - delta``, solved on ``dense_system``."""
+    zf = np.asarray(z, dtype=float)
+    M = dense_system(net, z)
+    a_x = 1.0 - (1.0 - net.alpha_x) * zf
+    c = net.p_bar - (1.0 - (1.0 - net.alpha_L) * zf) * (net.Pi.T @ net.p_bar)
+    return np.linalg.solve(M, np.diag(a_x)), np.linalg.solve(M, c)
+
+
 def random_corr(rng, n):
     """Random positive definite correlation matrix."""
     A = rng.normal(size=(n, n))

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import appb_p02, appb_p10, make_cycle, random_net
+from helpers import appb_p02, appb_p10, dense_map, dense_system, make_cycle, random_net
 from netval import (
+    AffineMap,
     CapmParams,
+    FactorModel,
+    LogNormal,
     build_network,
     calibrated_network,
     delta_matrix,
@@ -19,8 +22,12 @@ from netval import (
     psi_star,
     read_balance_sheets_csv,
     simulate,
+    solvency_thresholds,
 )
+from netval import clearing
+from netval.calibration import BalanceSheet
 from netval.clearing import ZERO_TOL
+from netval.oracle import classify_batch
 
 ALPHAS = [1.0, 0.5]
 
@@ -148,6 +155,26 @@ def test_linear_representation(alpha):
         assert np.allclose(V, res.V, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 8, 30])
+@pytest.mark.parametrize("alpha_x, alpha_L", [(1.0, 1.0), (0.7, 0.3), (0.3, 0.0)])
+@pytest.mark.parametrize("gamma", [False, True], ids=["no-gamma", "gamma"])
+def test_deltas_match_dense_system(n, alpha_x, alpha_L, gamma):
+    rng = np.random.default_rng([n, int(10 * alpha_x), int(10 * alpha_L), gamma])
+    L = random_net(rng, n=n).L
+    Gamma = None
+    if gamma:
+        Gamma = rng.uniform(0.0, 0.9 / n, (n, n))
+        Gamma[rng.random((n, n)) < 0.5] = 0.0
+        np.fill_diagonal(Gamma, 0.0)
+    net = build_network(L, alpha_x, alpha_L, Gamma=Gamma)
+    for p in (0.0, 0.2, 0.5, 0.9):
+        z = rng.random(n) < p
+        D_ref, d_ref = dense_map(net, z)
+        D, d = delta_matrix(net, z), delta_vector(net, z)
+        assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref))
+        assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.max(np.abs(d_ref))
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_batch_matches_scalar(alpha):
     rng = np.random.default_rng(5)
@@ -184,8 +211,9 @@ def test_single_is_a_batch_of_one(seed, alpha_x, alpha_L):
             assert np.array_equal(single, row[0])
         assert res.societal_payment == float(net.pi_soc @ one[1][0])
         assert 1 <= res.iterations <= n + 1
-        # a longer batch goes through BLAS gemm, a single row through gemv;
-        # they sum in another order, so rows agree to round-off, not bits
+        # alone, a row is one right-hand side of an LU solve; in a batch its
+        # group may take several right-hand sides or a product with A^{-1},
+        # which sum in another order, so rows agree to round-off, not bits
         for single, rows in zip((res.V, res.p, res.E), (V, p, E)):
             assert np.allclose(single, rows[k], rtol=0.0, atol=1e-12)
         assert np.array_equal(res.z, (res.V < -ZERO_TOL).astype(int))
@@ -330,12 +358,23 @@ def test_batch_matches_picard_oracle(seed, n, alpha_x, alpha_L):
     lo = max(n - 4, 0)
     X[:12, :lo] = 2.0 * net.p_bar[:lo]
     X[:12, lo:] *= 0.3
+    _assert_matches_picard(net, X)
+
+
+def _assert_matches_picard(net, X):
     V, _, _, Z = greatest_clearing_batch(net, X)
     scale = float(net.p_bar.max())
     for k in range(X.shape[0]):
         W = picard_clearing(net, X[k])
         assert np.array_equal(Z[k], (W < -ZERO_TOL).astype(int))
         assert np.max(np.abs(V[k] - W)) <= 1e-9 * scale
+
+
+def test_fixture_87_matches_picard_oracle():
+    # calibrated balance sheets at realistic magnitude (p_bar up to 9.1e5)
+    # with bankruptcy costs (alpha = 0.5)
+    net, X = _fixture_87()
+    _assert_matches_picard(net, X[:16])
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +423,10 @@ def _wide(n, seed):
 @pytest.mark.parametrize(
     "make, digest",
     [
-        (_copula_3, "736dcbe7e1d5d42c11e0c4f743e6cada89fc1af73372dfa96d395f1d63ed8dcc"),
-        (_fixture_87, "abf5c00c44655fef5aadfad6842081fd276f29c49537525959f455ebe655107c"),
-        (lambda: _wide(64, 10), "ecb513d531dbd81fd3a4b8d0faa023973a5c75ed27c8ea96e42b024f60f5594b"),
-        (lambda: _wide(65, 6), "de8ca2cbadc5eb0d0b931c9390544b613224f2d2a330b7b1f07e36094bd8c26f"),
+        (_copula_3, "df48b7cb2373515e9181354f94ac8812b17e7fb4988d0877484b6066e2d794d1"),
+        (_fixture_87, "b151147bf5959e3bf56570bd84fe54c39c4847106361a434624ad862117adbeb"),
+        (lambda: _wide(64, 10), "9683a557171bcf5847a2ff94cce660dd855bd14f7dd34bf1d80fcf3684bd5282"),
+        (lambda: _wide(65, 6), "5c33abdd1708a007e66255e323ec6e158ba010bc7594050fc5fc5a6f1c478794"),
     ],
     ids=["copula-3", "fixture-87", "net-64", "net-65"],
 )
@@ -413,19 +452,31 @@ def _small_partial():
     return build_network(L, 0.3, 0.6), rng.uniform(0.0, 0.8, (3, 4)) * L.sum(axis=1)
 
 
+def _small_gamma():
+    # banks 0 and 2 have shareholders among the banks, so every default-set
+    # system couples them; partial recovery
+    rng = np.random.default_rng(12)
+    L = random_net(rng, n=6).L
+    Gamma = np.zeros((6, 6))
+    Gamma[0, 1], Gamma[0, 3], Gamma[2, 5] = 0.2, 0.1, 0.3
+    return build_network(L, 0.7, 0.5, Gamma), rng.uniform(0.0, 0.8, (3, 6)) * L.sum(axis=1)
+
+
 @pytest.mark.parametrize(
     "make, sizes",
     [
         (_fixture_87, None),
         (lambda: _repeated(_fixture_87, [1, 5, 100]), [1, 5, 100]),
         (lambda: _repeated(_small_partial, [1, 3, 9]), [1, 3, 9]),
+        (lambda: _repeated(_small_gamma, [1, 2, 40]), [1, 2, 40]),
     ],
-    ids=["fixture-87", "fixture-87-repeated", "net-4-repeated"],
+    ids=["fixture-87", "fixture-87-repeated", "net-4-repeated", "net-6-gamma-repeated"],
 )
 def test_batch_matches_own_affine_map(make, sizes):
-    # groups of one row and of at most n rows are solved directly, larger
-    # groups through the cached map; every row must sit on the affine map
-    # of its own final default pattern
+    # groups of at most |T| rows (T the coupled banks of the pattern) are
+    # solved directly, larger groups through a product with the inverse of
+    # the coupled block; every row must sit on the affine map of its own
+    # final default pattern, solved here on the dense system
     net, X = make()
     V, _, _, Z = greatest_clearing_batch(net, X)
     patterns, counts = np.unique(Z, axis=0, return_counts=True)
@@ -433,7 +484,7 @@ def test_batch_matches_own_affine_map(make, sizes):
         assert counts.max() == 1
     else:
         assert sorted(counts) == sizes
-    maps = {z.tobytes(): (delta_matrix(net, z), delta_vector(net, z)) for z in patterns}
+    maps = {z.tobytes(): dense_map(net, z) for z in patterns}
     tol = 1e-12 * float(net.p_bar.max())
     for x, v, z in zip(X, V, Z):
         D, d = maps[z.tobytes()]
@@ -441,8 +492,8 @@ def test_batch_matches_own_affine_map(make, sizes):
 
 
 def test_batch_memory_stays_bounded():
-    # one row per default pattern: keeping an 87 x 87 map per pattern
-    # would peak at about 72 MiB
+    # one row per default pattern; the kernel keeps nothing between groups,
+    # while an 87 x 87 map kept per pattern would peak at about 72 MiB
     net, X = _fixture_87()
     tracemalloc.start()
     try:
@@ -451,3 +502,76 @@ def test_batch_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _record_solves(monkeypatch):
+    systems = []
+    solve = clearing._solve
+
+    def recorded(A, B):
+        systems.append((A.copy(), B.shape))
+        return solve(A, B)
+
+    monkeypatch.setattr(clearing, "_solve", recorded)
+    return systems
+
+
+def test_kernel_solves_only_coupled_block(monkeypatch):
+    systems = _record_solves(monkeypatch)
+
+    # Gamma = 0 and no bank defaults: M(0) = I, so nothing is solved
+    net, X = _fixture_87()
+    greatest_clearing_batch(net, 2.0 * np.tile(net.p_bar, (5, 1)))
+    assert systems == []
+
+    # each row alone: one system per round after the first, of the size of
+    # the round's default set, which only grows and stays below n
+    for x in X[:12]:
+        systems.clear()
+        res = greatest_clearing(net, x)
+        sizes = [A.shape[0] for A, _ in systems]
+        assert len(sizes) == res.iterations - 1
+        assert sizes == sorted(set(sizes)) and sizes[-1] < net.n
+        assert sizes[-1] == greatest_clearing_batch(net, x[None, :])[3].sum()
+        assert all(shape == (size, 1) for size, (_, shape) in zip(sizes, systems))
+
+    # under cross-holdings the held banks 0 and 2 are coupled in every round,
+    # and the last system is the dense one restricted to them and the defaults
+    net, X = _small_gamma()
+    for x in (2.0 * net.p_bar, *X):
+        systems.clear()
+        Z = greatest_clearing_batch(net, x[None, :])[3][0].astype(bool)
+        T = np.flatnonzero(Z | np.isin(np.arange(net.n), [0, 2]))
+        assert systems[0][0].shape == (2, 2)
+        assert np.allclose(
+            systems[-1][0], dense_system(net, Z)[np.ix_(T, T)], rtol=0.0, atol=1e-15
+        )
+
+
+def _sheets_8(seed):
+    # eight banks with total assets, so liabilities, between about 1e5 and 1e6
+    rng = np.random.default_rng(seed)
+    A = 10.0 ** rng.uniform(5.05, 6.0, 8)
+    C = A * rng.uniform(0.03, 0.10, 8)
+    IB = A * rng.uniform(0.05, 0.25, 8)
+    return [BalanceSheet(f"B{i}", float(A[i]), float(C[i]), float(IB[i])) for i in range(8)]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_single_batch_and_regions_agree_at_scale(alpha):
+    net, calib = calibrated_network(_sheets_8(0), alpha, alpha, seed=0)
+    assert 1e5 < net.p_bar.min() and net.p_bar.max() < 1e6
+    # rows within 10% of each bank's comonotonic threshold, so that about
+    # half the banks default; uniform rows on [0, 1.2] s default almost all
+    maps = [AffineMap(0.0, float(s)) for s in calib.s]
+    th = solvency_thresholds(net, FactorModel(maps, LogNormal(0.0, 0.2)))
+    rng = np.random.default_rng(1)
+    X = calib.s * th.q_star * rng.uniform(0.9, 1.1, (200, 8))
+    V, _, _, Z = greatest_clearing_batch(net, X)
+    assert 2.0 < Z.sum(axis=1).mean() < 6.5
+    assert np.array_equal(classify_batch(net, X), Z)
+    scale = float(net.p_bar.max())
+    for x, v, z in zip(X, V, Z):
+        res = greatest_clearing(net, x)
+        assert np.array_equal(res.z, z)
+        assert np.max(np.abs(res.V - v)) <= 1e-12 * scale

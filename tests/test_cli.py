@@ -655,7 +655,7 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "clear {dir}/net.csv --x 2.5,3",
-        "418fc991de732ae0223b67dfd9f74e1c56473b325b5f2f3b248615e655f6bde9",
+        "a1cb79da10684975df7d786c8bca2462113a6c71f835a65395364d18deae5d0d",
         id="clear",
     ),
     pytest.param(
@@ -685,17 +685,17 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "mc {dir}/net.csv {dir}/scen_capm.json --paths 400 --seed 5",
-        "917afc5fbb717546d5af65ec8abf2e70e95c411a672bd53d2196d4cf24d68dfc",
+        "b14e5a8963f3e9e4695915d4e4810a338d42ab916467bcca43e8e70fb2474429",
         id="mc-capm-P",
     ),
     pytest.param(
         "mc {dir}/net.csv {dir}/scen_copula.json --paths 400 --seed 5",
-        "36bfce89e5fddcadb71b0151fb9d881f5437993c441af8f4ae5a32e00d739731",
+        "86083b84966ab231f9c90d6be95b2811ad7daa222e400a86ded400ac86c5d71c",
         id="mc-copula",
     ),
     pytest.param(
         "mc {dir}/partial.csv {dir}/scen_finite.json --paths 400 --seed 5",
-        "97ad5c2533f02acb7cd8182a2cc3416a4293d5e13c57119d90ba831e57bc0683",
+        "c6c2beb05e4bd29ed4ade4a14ce9f6aa2aa63d8dd197151a43801ddb32d54f09",
         id="mc-finite-support",
     ),
 ]

@@ -300,13 +300,13 @@ SWEEP_ORDERS = {
 
 def _count_inversions(monkeypatch):
     calls = []
-    solve = comonotonic._solve
+    inverse = comonotonic._inverse
 
-    def counted(*args):
-        calls.append(args[1].copy())
-        return solve(*args)
+    def counted(net, z):
+        calls.append(z.copy())
+        return inverse(net, z)
 
-    monkeypatch.setattr(comonotonic, "_solve", counted)
+    monkeypatch.setattr(comonotonic, "_inverse", counted)
     return calls
 
 
