@@ -57,15 +57,16 @@ def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     return ax * x + aL * (net.Pi.T @ pay + net.Gamma.T @ np.maximum(V, 0.0)) - net.p_bar
 
 
-def _coupled(net: FinancialNetwork, z: np.ndarray):
-    """``(T, KT, A)``: ``M(z) = I - K`` with ``K = diag(b) [Pi^T diag(z) + Gamma^T diag(1 - z)]``,
+def _coupled(net: FinancialNetwork, z: np.ndarray, held: np.ndarray):
+    """``(T, KT)``: ``M(z) = I - K`` with ``K = diag(b) [Pi^T diag(z) + Gamma^T diag(1 - z)]``,
     ``b = 1 - (1 - alpha_L) z``, and ``K`` is zero outside the columns ``T`` of the defaulting
-    and the held (nonzero ``Gamma`` row) banks.  With ``KT = K[:, T]^T`` and ``A = I - K[T, T]``,
-    ``M(z) V = r`` is ``A V_T = r_T`` and ``V = r + K[:, T] V_T``."""
-    T = np.flatnonzero(z | net.Gamma.any(axis=1))
+    and the ``held`` (nonzero ``Gamma`` row) banks.  With ``KT = K[:, T]^T`` and
+    ``A = I - K[T, T]``, ``M(z) V = r`` is ``A V_T = r_T`` and ``V = r + K[:, T] V_T``."""
+    T = np.flatnonzero(z | held)
     b = 1.0 - (1.0 - net.alpha_L) * z
-    KT = np.where(z[T, None], net.Pi[T], net.Gamma[T]) * b
-    return T, KT, np.eye(T.size) - KT[:, T].T
+    KT = net.Pi[T] * b
+    KT[~z[T]] = net.Gamma[T[~z[T]]] * b
+    return T, KT
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -77,9 +78,9 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _inverse(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
     # M(z)^{-1} is the identity except in columns T, where it is E_T + K[:, T] A^{-1}
-    T, KT, A = _coupled(net, z)
+    T, KT = _coupled(net, z, net.Gamma.any(axis=1))
     Minv = np.eye(net.n)
-    Minv[:, T] += KT.T @ _solve(A, np.eye(T.size))
+    Minv[:, T] += KT.T @ _solve(np.eye(T.size) - KT[:, T].T, np.eye(T.size))
     return Minv
 
 
@@ -146,12 +147,14 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
     m = X.shape[0]
+    held = net.Gamma.any(axis=1)
 
     def wealths(z, Xg):
         R = Xg * _external_share(net, z)
         R -= _intercept_rhs(net, z)
-        T, KT, A = _coupled(net, z)
-        if Xg.shape[0] <= T.size:
+        T, KT = _coupled(net, z, held)
+        A = np.eye(T.size) - KT[:, T].T
+        if Xg.shape[0] <= T.size:  # LAPACK's solve pays per right-hand side
             R += _solve(A, R[:, T].T).T @ KT
         elif T.size:
             R += R[:, T] @ _solve(A, np.eye(T.size)).T @ KT

@@ -489,17 +489,14 @@ def _sup_insolvent_bisect(g, target: np.ndarray, hint: float, cap) -> np.ndarray
 DRIFT_TOL = 1e-12
 
 
-def _drift(
-    net: FinancialNetwork, z: np.ndarray, Minv: np.ndarray, d: np.ndarray, c: np.ndarray
-) -> float:
+def _drift(net: FinancialNetwork, z, held, Minv, d, c) -> float:
     """``max(||M(z) d - c||_inf / max(p_bar), ||M(z) Minv 1 - 1||_inf)``, O(n |T|)."""
-    T, KT, _ = _coupled(net, z)
+    T, KT = _coupled(net, z, held)
     W = np.stack((d, Minv.sum(axis=1)))
     W -= W[:, T] @ KT  # M(z) v = v - K[:, T] v_T
-    return max(
-        float(np.max(np.abs(W[0] - c))) / float(net.p_bar.max()),
-        float(np.max(np.abs(W[1] - 1.0))),
-    )
+    W[0] = (W[0] - c) / net.p_bar.max()
+    W[1] -= 1.0
+    return float(np.max(np.abs(W)))
 
 
 def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyThresholds:
@@ -541,13 +538,14 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     order = np.empty(n, dtype=int)
     ladder = []
     Minv = _inverse(net, z)
+    held = net.Gamma.any(axis=1)
     remaining = np.arange(n)
     q_prev = np.inf
 
     for k in range(n + 1):
         c = _intercept_rhs(net, z)
         d = Minv @ c
-        if _drift(net, z, Minv, d, c) > DRIFT_TOL:
+        if _drift(net, z, held, Minv, d, c) > DRIFT_TOL:
             Minv = _inverse(net, z)
             d = Minv @ c
         D = Minv * _external_share(net, z)

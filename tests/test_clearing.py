@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import appb_p02, appb_p10, dense_map, dense_system, make_cycle, random_net
@@ -346,35 +346,31 @@ def picard_clearing(net, x):
     alpha_x=st.sampled_from([1.0, 0.7, 0.3]),
     alpha_L=st.sampled_from([1.0, 0.6, 0.2]),
 )
+# n = 87 is the calibrated fixture: balance sheets at realistic magnitude
+# (p_bar up to 9.1e5) with bankruptcy costs alpha = 0.5
+@example(seed=0, n=87, alpha_x=0.5, alpha_L=0.5)
 def test_batch_matches_picard_oracle(seed, n, alpha_x, alpha_L):
     # Gamma = 0 only: with cross-holdings the kernel can keep a bank in its
     # default set after its wealth comes back nonnegative
-    rng = np.random.default_rng(seed)
-    L = random_net(rng, n=n).L
-    net = build_network(L, alpha_x, alpha_L)
-    X = rng.uniform(0.0, 1.5 * net.p_bar, (16, n))
-    # rows that cannot default below the last four banks share their low
-    # key bits, so for n > 64 their patterns differ only in the second word
-    lo = max(n - 4, 0)
-    X[:12, :lo] = 2.0 * net.p_bar[:lo]
-    X[:12, lo:] *= 0.3
-    _assert_matches_picard(net, X)
-
-
-def _assert_matches_picard(net, X):
+    if n == 87:
+        net, X = _fixture_87()
+        X = X[:16]
+    else:
+        rng = np.random.default_rng(seed)
+        L = random_net(rng, n=n).L
+        net = build_network(L, alpha_x, alpha_L)
+        X = rng.uniform(0.0, 1.5 * net.p_bar, (16, n))
+        # rows that cannot default below the last four banks share their low
+        # key bits, so for n > 64 their patterns differ only in the second word
+        lo = max(n - 4, 0)
+        X[:12, :lo] = 2.0 * net.p_bar[:lo]
+        X[:12, lo:] *= 0.3
     V, _, _, Z = greatest_clearing_batch(net, X)
     scale = float(net.p_bar.max())
     for k in range(X.shape[0]):
         W = picard_clearing(net, X[k])
         assert np.array_equal(Z[k], (W < -ZERO_TOL).astype(int))
         assert np.max(np.abs(V[k] - W)) <= 1e-9 * scale
-
-
-def test_fixture_87_matches_picard_oracle():
-    # calibrated balance sheets at realistic magnitude (p_bar up to 9.1e5)
-    # with bankruptcy costs (alpha = 0.5)
-    net, X = _fixture_87()
-    _assert_matches_picard(net, X[:16])
 
 
 # ---------------------------------------------------------------------------

@@ -352,9 +352,10 @@ def test_drift_guard_sees_error_off_the_intercept():
     c = _intercept_rhs(net, z)
     d = delta_vector(net, z)
     Minv = delta_matrix(net, z) / _external_share(net, z)
-    assert comonotonic._drift(net, z, Minv, d, c) <= comonotonic.DRIFT_TOL
+    held = net.Gamma.any(axis=1)
+    assert comonotonic._drift(net, z, held, Minv, d, c) <= comonotonic.DRIFT_TOL
     Minv[:, 0] += 1e-9
-    assert comonotonic._drift(net, z, Minv, d, c) > comonotonic.DRIFT_TOL
+    assert comonotonic._drift(net, z, held, Minv, d, c) > comonotonic.DRIFT_TOL
 
 
 def test_drift_guard_reinverts(monkeypatch):
