@@ -117,18 +117,6 @@ class TabulatedMap:
         )
 
 
-def _check_monotone(f, label: str, grid: np.ndarray):
-    vals = np.asarray(f(grid), dtype=float)
-    if vals.shape != grid.shape:
-        raise ModelError(f"{label}: map must evaluate elementwise on arrays")
-    if np.any(~np.isfinite(vals)):
-        raise ModelError(f"{label}: map produced non-finite values")
-    if np.any(vals < 0.0):
-        raise ModelError(f"{label}: map must be nonnegative on q >= 0")
-    if np.any(np.diff(vals) < -1e-12 * np.maximum(1.0, np.abs(vals[:-1]))):
-        raise ModelError(f"{label}: map must be nondecreasing")
-
-
 # ---------------------------------------------------------------------------
 # Factor distributions
 
@@ -151,11 +139,9 @@ class LogNormal:
         ``q**c``, so ``c = 0`` gives the survival function."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        out = np.where(t[:, None] <= 0.0, 1.0, 0.0) * np.ones(c.size)
-        inner = (t > 0.0) & (t < np.inf)
-        logs = np.array([math.log(x) for x in t[inner]])[:, None]
-        out[inner] = norm_cdf((self.mu + c * self.sigma * self.sigma - logs) / self.sigma)
-        return out
+        # log 0 = -inf gives the tail 1 at t <= 0, and log inf = inf the tail 0
+        logs = np.array([-math.inf if x <= 0.0 else math.log(x) for x in t.tolist()])
+        return norm_cdf((self.mu + c * self.sigma * self.sigma - logs[:, None]) / self.sigma)
 
     def survival(self, t: float) -> float:
         """P(q >= t)."""
@@ -269,6 +255,8 @@ class Uniform01:
 # Partial expectations
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+QUAD_TOL = 1e-12  # largest relative gap between a split's halves and the whole
+QUAD_MAX_DEPTH = 48  # deepest split before the integral counts as divergent
 
 
 def _gauss_legendre(func, lo: float, hi: float) -> float:
@@ -277,7 +265,7 @@ def _gauss_legendre(func, lo: float, hi: float) -> float:
     return half * float(_GL_WEIGHTS @ func(mid + half * _GL_NODES))
 
 
-def adaptive_gauss_legendre(func, lo, hi, tol=1e-12, max_depth=48):
+def adaptive_gauss_legendre(func, lo, hi):
     """Adaptive 15-point Gauss-Legendre integration on a finite interval."""
     whole = _gauss_legendre(func, lo, hi)
     stack = [(lo, hi, whole, 0)]
@@ -287,10 +275,10 @@ def adaptive_gauss_legendre(func, lo, hi, tol=1e-12, max_depth=48):
         mid = 0.5 * (a + b)
         left = _gauss_legendre(func, a, mid)
         right = _gauss_legendre(func, mid, b)
-        if abs(left + right - est) <= tol * max(1.0, abs(left + right)):
+        if abs(left + right - est) <= QUAD_TOL * max(1.0, abs(left + right)):
             total += left + right
             continue
-        if depth >= max_depth:
+        if depth >= QUAD_MAX_DEPTH:
             raise QuadratureError(
                 "integral did not converge; the integrand may be non-integrable"
             )
@@ -332,8 +320,8 @@ def partial_expectation(dist, f, a: float, b: float):
     if a == b:
         return 0.0, 0.0
     if isinstance(dist, LogNormal) and isinstance(f, PowerMap):
-        prob, pe = _interval_moments((f,), dist, np.array([b, a]))
-        return float(prob[0]), float(pe[0, 0])
+        prob, pe = _interval_moments((f,), dist)(a, b)
+        return float(prob), float(pe[0])
     prob = dist.prob_interval(a, b)
 
     if isinstance(dist, PointMass):
@@ -359,6 +347,8 @@ def _map_params(f):
 
 
 _MONOTONE_GRID = np.concatenate(([0.0], np.geomspace(1e-9, 1e6, 151)))
+_MAP_FAULTS = ("produced non-finite values", "must be nonnegative on q >= 0",
+               "must be nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -370,17 +360,23 @@ class FactorModel:
 
     def __init__(self, f, dist):
         f = tuple(f)
+        for i, fi in enumerate(f):
+            if not callable(fi):
+                raise ModelError(f"map {i} is not callable")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "_params", _map_params(f))
         grid = _MONOTONE_GRID
         if isinstance(dist, Uniform01):
             # stop short of u = 1: quantile maps of unbounded laws diverge there
             grid = np.linspace(0.0, 1.0 - 1e-9, 201)
-        for i, fi in enumerate(f):
-            if not callable(fi):
-                raise ModelError(f"map {i} is not callable")
-            _check_monotone(fi, f"map {i}", grid)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "_params", _map_params(f))
+        vals = self.endowments(grid)
+        with np.errstate(invalid="ignore"):
+            drop = np.diff(vals, axis=0) < -1e-12 * np.maximum(1.0, np.abs(vals[:-1]))
+            bad = np.array([~np.isfinite(vals).all(0), (vals < 0.0).any(0), drop.any(0)])
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise ModelError(f"map {i}: map {_MAP_FAULTS[int(np.argmax(bad[:, i]))]}")
 
     @property
     def n(self) -> int:
@@ -396,7 +392,11 @@ class FactorModel:
         """
         q = np.asarray(q, dtype=float)
         if self._params is None:
-            return np.stack([np.broadcast_to(fi(q), q.shape) for fi in self.f], axis=-1)
+            cols = [fi(q) for fi in self.f]
+            for i, v in enumerate(cols):
+                if np.shape(v) != q.shape:
+                    raise ModelError(f"map {i}: map must evaluate elementwise on arrays")
+            return np.stack(cols, axis=-1)
         shift, coef, expo = self._params
         with np.errstate(over="ignore"):
             return shift + coef * np.power(q[..., None], expo)
@@ -412,24 +412,12 @@ class SolvencyThresholds:
 
     ``q_star[i]`` is the lowest factor value making bank ``i`` solvent
     (``inf`` if it never is, ``0`` if it always is).  ``order`` lists bank
-    indices by nonincreasing threshold; ``ladder[k]`` holds the affine
-    wealth representation ``(Delta_k, delta_k)`` when exactly the first
-    ``k`` banks of ``order`` default.
+    indices by nonincreasing threshold, the order in which the sweep adds
+    them to the default set.
     """
 
     q_star: np.ndarray
     order: np.ndarray
-    ladder: tuple
-
-    def sorted_with_sentinels(self) -> np.ndarray:
-        """Thresholds in ladder order, bracketed by ``inf`` and ``0``."""
-        return np.concatenate(([np.inf], self.q_star[self.order], [0.0]))
-
-    def position(self) -> np.ndarray:
-        """1-based ladder position of each bank."""
-        pos = np.empty(self.order.size, dtype=int)
-        pos[self.order] = np.arange(1, self.order.size + 1)
-        return pos
 
 
 def _sup_insolvent_bisect(g, target: np.ndarray, hint: float, cap) -> np.ndarray:
@@ -499,7 +487,7 @@ def _drift(net: FinancialNetwork, z, held, Minv, d, c) -> float:
     return float(np.max(np.abs(W)))
 
 
-def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyThresholds:
+def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     """Iteratively peel off the most fragile bank to locate all thresholds.
 
     At each step the candidate threshold of a still-solvent bank ``i`` is
@@ -519,6 +507,14 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     step, ``||M(z) delta_k - c(z)||_inf / max(p_bar)`` and ``||M(z) M^{-1} 1 - 1||_inf``,
     and inverts ``M(z)`` afresh when either passes ``DRIFT_TOL``.  Inverses and the
     guard's products use only the coupled block of ``M(z)`` (``clearing._coupled``).
+
+    On ``I_k = [q_{k+1}, q_k)`` (``q_0 = inf``, ``q_{n+1} = 0``) exactly the first
+    ``k`` banks of ``order`` default and wealths are ``Delta_k f(q) - delta_k``.
+    Given ``moments`` (``_interval_moments``), the sweep adds the interval's term
+    ``Delta_k E[f(q); I_k] - delta_k P(I_k)`` to ``EV`` once ``q_{k+1}`` is known;
+    ``order[k]`` is solvent exactly on the intervals summed so far, so its ``EE``
+    is its ``EV`` then.  Only the current rung is kept: O(n^2) memory.  Returns
+    ``(SolvencyThresholds, EV, EE)``; without ``moments`` both are zero.
     """
     if model.n != net.n:
         raise ModelError(f"model has {model.n} maps but network has {net.n} banks")
@@ -536,7 +532,10 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
     z = np.zeros(n, dtype=bool)
     q_star = np.empty(n)
     order = np.empty(n, dtype=int)
-    ladder = []
+    EV, EE = np.zeros(n), np.zeros(n)
+    # one buffer for every rung: a fresh n x n array per step let malloc return
+    # the pages and fault them in again (0.2 s of system time at n = 400)
+    D = np.empty((n, n))
     Minv = _inverse(net, z)
     held = net.Gamma.any(axis=1)
     remaining = np.arange(n)
@@ -548,28 +547,33 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
         if _drift(net, z, held, Minv, d, c) > DRIFT_TOL:
             Minv = _inverse(net, z)
             d = Minv @ c
-        D = Minv * _external_share(net, z)
-        ladder.append((D, d))
+        D = np.multiply(Minv, _external_share(net, z), out=D)
+        q_k = 0.0
+        if k < n:
+            target = d[remaining]
+            if affine is not None:
+                a, b = (D @ affine[0])[remaining], (D @ affine[1])[remaining]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    sups = np.where(a >= target, 0.0, np.where(b <= 0.0, np.inf, (target - a) / b))
+                    if power != 1.0:
+                        sups = sups ** (1.0 / power)
+            else:
+                rows = D[remaining]
+
+                def g(q, sel, rows=rows):
+                    X = model.endowments(q)
+                    return (rows[sel][:, None, :] @ X[:, :, None])[:, 0, 0]
+
+                sups = _sup_insolvent_bisect(g, target, q_prev, cap)
+            at = int(np.argmax(sups))
+            pick = int(remaining[at])
+            q_k = min(q_prev, float(sups[at]))
+        if moments is not None and q_k < q_prev:
+            prob, pe = moments(q_k, q_prev)
+            EV += D @ pe - d * prob
         if k == n:
             break
-        target = d[remaining]
-        if affine is not None:
-            a, b = (D @ affine[0])[remaining], (D @ affine[1])[remaining]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                sups = np.where(a >= target, 0.0, np.where(b <= 0.0, np.inf, (target - a) / b))
-                if power != 1.0:
-                    sups = sups ** (1.0 / power)
-        else:
-            rows = D[remaining]
-
-            def g(q, sel, rows=rows):
-                X = model.endowments(q)
-                return (rows[sel][:, None, :] @ X[:, :, None])[:, 0, 0]
-
-            sups = _sup_insolvent_bisect(g, target, q_prev, cap)
-        at = int(np.argmax(sups))
-        pick = int(remaining[at])
-        q_k = min(q_prev, float(sups[at]))
+        EE[pick] = EV[pick]
         q_star[pick] = q_k
         order[k] = pick
         remaining = np.delete(remaining, at)
@@ -577,41 +581,50 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
         z[pick] = True
         q_prev = q_k
 
-    return SolvencyThresholds(q_star=q_star, order=order, ladder=tuple(ladder))
+    return SolvencyThresholds(q_star=q_star, order=order), EV, EE
+
+
+def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyThresholds:
+    """Solvency thresholds of every bank by the threshold sweep (``_sweep``)."""
+    return _sweep(net, model)[0]
 
 
 # ---------------------------------------------------------------------------
 # Expected values
 
 
-def _interval_moments(f, dist, qs: np.ndarray):
-    """``P(I_k)`` and ``E[f_i(q) 1{q in I_k}]`` over ``I_k = [qs[k+1], qs[k])``.
+def _interval_moments(f, dist):
+    """``moments(a, b)``: ``P(I)`` and ``E[f_i(q) 1{q in I}]`` per map over
+    ``I = [a, b)``, ``a < b``.
 
-    Under a lognormal factor every ``PowerMap`` column takes the closed
-    form ``shift P(I_k) + coef E[q**c] P_c(I_k)``, ``P_c`` the law tilted
-    by ``q**c``, as array expressions with one tail per distinct exponent.
-    Other columns call ``partial_expectation`` once per nonempty interval.
-    Empty intervals are left to the caller.
+    Under a lognormal factor every ``PowerMap`` column is ``shift P(I) + coef
+    E[q**c] P_c(I)``, ``P_c`` the law tilted by ``q**c``: one ``tails`` call per
+    interval, the rest worked out once.  Other columns call ``partial_expectation``.
     """
-    a, b = qs[1:], qs[:-1]
-    pe = np.zeros((a.size, len(f)))
-    prob = np.zeros(a.size)
-    lognormal = isinstance(dist, LogNormal)
-    power = [i for i, fi in enumerate(f) if lognormal and isinstance(fi, PowerMap)]
+    power, rest = [], []
+    for i, fi in enumerate(f):
+        (power if isinstance(dist, LogNormal) and isinstance(fi, PowerMap) else rest).append(i)
     if power:
         shift, coef, expo = _map_params([f[i] for i in power])
         # np.unique imports numpy.ma on first use (numpy 2.4), 5 ms of a CLI call
-        expos = np.array(sorted(set(expo.tolist())))
-        surv = dist.tails(0.0, qs)[:, 0]
-        tails = dist.tails(expos, qs)
-        prob = surv[1:] - surv[:-1]
-        moments = np.array([dist.moment(c) for c in expos]) * (tails[1:] - tails[:-1])
-        pe[:, power] = shift * prob[:, None] + coef * moments[:, np.searchsorted(expos, expo)]
-    rest = [i for i in range(len(f)) if i not in power]
-    for k in np.flatnonzero(a < b):
+        expos = sorted(set(expo.tolist()))
+        col = np.searchsorted(expos, expo)
+        scale = np.array([dist.moment(c) for c in expos])
+        exponents = [0.0, *expos]
+
+    def moments(a: float, b: float):
+        pe = np.zeros(len(f))
+        prob = 0.0
+        if power:
+            tails = dist.tails(exponents, [b, a])
+            prob = tails[1, 0] - tails[0, 0]
+            tilted = scale * (tails[1, 1:] - tails[0, 1:])
+            pe[power] = shift * prob + coef * tilted[col]
         for i in rest:
-            prob[k], pe[k, i] = partial_expectation(dist, f[i], a[k], b[k])
-    return prob, pe
+            prob, pe[i] = partial_expectation(dist, f[i], a, b)
+        return prob, pe
+
+    return moments
 
 
 @dataclass(frozen=True)
@@ -625,37 +638,17 @@ class ExpectedValues:
     thresholds: SolvencyThresholds
 
 
-def expected_values(
-    net: FinancialNetwork, model: FactorModel, thresholds: SolvencyThresholds = None
-) -> ExpectedValues:
+def expected_values(net: FinancialNetwork, model: FactorModel) -> ExpectedValues:
     """Closed-form expectations under a comonotonic factor model.
 
     Between consecutive sorted thresholds the default set is constant, so
     each expectation is a sum over factor intervals of
-    ``Delta_k E[f(q); interval] - delta_k P(interval)``; payments pick up
-    only the intervals below a bank's own threshold and equity only those
-    above.
+    ``Delta_k E[f(q); interval] - delta_k P(interval)``, which the threshold
+    sweep adds up as it goes; payments pick up only the intervals below a
+    bank's own threshold and equity only those above.
     """
-    th = thresholds if thresholds is not None else solvency_thresholds(net, model)
-    n = net.n
-    qs = th.sorted_with_sentinels()
-    prob, pe = _interval_moments(model.f, model.dist, qs)
-
-    terms = np.zeros((n + 1, n))
-    for k in np.flatnonzero(qs[1:] < qs[:-1]):
-        D, d = th.ladder[k]
-        terms[k] = D @ pe[k] - d * prob[k]
-
-    pos = th.position()
-    cumulative = np.vstack([np.zeros(n), np.cumsum(terms, axis=0)])
-    total = cumulative[-1]
-
-    # bank b is solvent exactly on intervals k < pos(b): its equity collects
-    # those terms, its payment shortfall the rest
-    EV = total.copy()
-    EE = cumulative[pos, np.arange(n)]
-    Ep = net.p_bar + (total - EE)
-
+    th, EV, EE = _sweep(net, model, _interval_moments(model.f, model.dist))
+    Ep = net.p_bar + (EV - EE)
     if isinstance(model.dist, LogNormal):
         pd = 1.0 - model.dist.tails(0.0, th.q_star)[:, 0]
     else:

@@ -1,6 +1,6 @@
 """Validators: default-region enumeration, Monte Carlo and bisection.
 
-They avoid the comonotonic closed forms (threshold ladder, expectations) but
+They avoid the comonotonic closed forms (threshold sweep, expectations) but
 share the clearing kernel: regions are built from ``delta_matrix`` and
 ``delta_vector``, and the rest calls ``greatest_clearing`` or its batch form.
 """
@@ -23,6 +23,8 @@ from .clearing import (
 from .network import FinancialNetwork
 
 REGION_MAX_BANKS = 12
+THRESHOLD_REL_TOL = 1e-12  # threshold bisection stops at this width relative to max(q, 1)
+THRESHOLD_MAX_ITER = 300  # and after this many halvings
 
 _KIND_TAGS = {
     "comonotonic-factor": 1,
@@ -313,13 +315,11 @@ def exact_expectations(net: FinancialNetwork, atoms, probs) -> ExactExpectations
 # Threshold oracle
 
 
-def thresholds_by_clearing_bisection(
-    net: FinancialNetwork, model, rel_tol: float = 1e-12, max_iter: int = 300
-) -> np.ndarray:
+def thresholds_by_clearing_bisection(net: FinancialNetwork, model) -> np.ndarray:
     """Per-bank solvency thresholds found by bisecting full clearing calls.
 
-    Uses only the fixed-point clearing solver, never the affine ladder,
-    so it is an independent check of the threshold construction.
+    Uses only the fixed-point clearing solver, never the threshold sweep's
+    affine maps, so it is an independent check of the threshold construction.
     """
 
     def solvent(i: int, q: float) -> bool:
@@ -341,8 +341,8 @@ def thresholds_by_clearing_bisection(
                 break
         else:
             lo = 0.0
-            for _ in range(max_iter):
-                if hi - lo <= rel_tol * max(hi, 1.0):
+            for _ in range(THRESHOLD_MAX_ITER):
+                if hi - lo <= THRESHOLD_REL_TOL * max(hi, 1.0):
                     break
                 mid = 0.5 * (lo + hi)
                 if solvent(i, mid):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from netval import build_network
+from netval import build_network, psi_star
 
 
 def make_cycle(alpha_x, alpha_L=None):
@@ -48,6 +48,26 @@ def dense_map(net, z):
     a_x = 1.0 - (1.0 - net.alpha_x) * zf
     c = net.p_bar - (1.0 - (1.0 - net.alpha_L) * zf) * (net.Pi.T @ net.p_bar)
     return np.linalg.solve(M, np.diag(a_x)), np.linalg.solve(M, c)
+
+
+def upper_picard_clearing(net, x):
+    """Greatest clearing wealths by iterating ``psi_star`` down from an upper bound.
+
+    ``U = (I - Gamma^T)^{-1} max(x + Pi^T p_bar - p_bar, 0)`` bounds every
+    fixed point from above, also under cross-holdings (row sums of ``Gamma``
+    below 1), and ``psi_star(U) <= U``; ``psi_star`` is monotone, so the
+    iterates decrease to the greatest fixed point.  It never builds or solves
+    the linear system of a default set.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.maximum(x + net.Pi.T @ net.p_bar - net.p_bar, 0.0)
+    V = np.linalg.solve(np.eye(net.n) - net.Gamma.T, w)
+    for _ in range(100_000):
+        W = psi_star(net, x, V)
+        if np.max(np.abs(W - V)) <= 1e-14 * max(float(net.p_bar.max()), float(np.max(np.abs(V)))):
+            return W
+        V = W
+    raise AssertionError("Picard iteration did not converge")
 
 
 def random_corr(rng, n):

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_two_bank, random_net
+from helpers import make_two_bank, random_net, upper_picard_clearing
 from netval import (
     AffineMap,
     Empirical,
@@ -15,7 +16,6 @@ from netval import (
     ModelError,
     PointMass,
     PowerMap,
-    SolvencyThresholds,
     TabulatedMap,
     Uniform01,
     build_network,
@@ -33,7 +33,7 @@ from netval import (
 )
 from netval import comonotonic
 from netval.capm import CapmParams, _eta_maps, price_and_cap
-from netval.clearing import _external_share, _intercept_rhs
+from netval.clearing import ZERO_TOL, _external_share, _intercept_rhs
 from netval.comonotonic import norm_cdf
 
 
@@ -187,25 +187,6 @@ def test_zero_endowment_thresholds(two_bank):
     assert np.all(np.isinf(th.q_star))
 
 
-def test_ladder_matches_delta_at_each_step(two_bank):
-    th = solvency_thresholds(two_bank, bench_model())
-    z = np.zeros(2)
-    for k in range(3):
-        D, d = th.ladder[k]
-        assert np.allclose(D, delta_matrix(two_bank, z), atol=1e-12)
-        assert np.allclose(d, delta_vector(two_bank, z), atol=1e-12)
-        if k < 2:
-            z[th.order[k]] = 1.0
-
-
-def test_sentinels_and_positions(two_bank):
-    th = solvency_thresholds(two_bank, bench_model())
-    qs = th.sorted_with_sentinels()
-    assert qs[0] == np.inf and qs[-1] == 0.0
-    assert np.all(np.diff(qs) <= 0.0)
-    assert list(th.position()) == [1, 2]
-
-
 def test_bisection_matches_affine_closed_form(two_bank):
     affine = solvency_thresholds(two_bank, bench_model())
     tab = FactorModel(
@@ -228,7 +209,7 @@ def test_uniform_factor_certain_default():
     th = solvency_thresholds(net, model)
     assert th.q_star[0] >= 1.0  # bank 1 never solvent on the support
     assert abs(th.q_star[1] - 39.0 / 61.0) < 1e-12
-    ev = expected_values(net, model, thresholds=th)
+    ev = expected_values(net, model)
     assert abs(ev.pd[0] - 1.0) < 1e-12
     assert abs(ev.pd[1] - 39.0 / 61.0) < 1e-12
 
@@ -241,7 +222,7 @@ def test_uniform_factor_certain_default():
     )
     th_tab = solvency_thresholds(net, tab)
     assert abs(th_tab.q_star[0] - 1.0) < 1e-12
-    ev_tab = expected_values(net, tab, thresholds=th_tab)
+    ev_tab = expected_values(net, tab)
     assert np.allclose(ev_tab.pd, ev.pd, atol=1e-9)
     assert np.allclose(ev_tab.Ep, ev.Ep, atol=1e-9)
 
@@ -253,7 +234,10 @@ def test_uniform_factor_certain_default():
 def sweep_case(n, kind):
     """n-bank net with affine maps: calibrated synthetic sheets, or a random
     net with full recovery, partial recovery, or cross-holdings (row sums
-    of Gamma in [0.1, 0.5]) with partial recovery."""
+    of Gamma in [0.1, 0.5]) with partial recovery; "two-bank" is the
+    two-bank net with the affine maps of ``bench_model``."""
+    if kind == "two-bank":
+        return make_two_bank(), bench_model()
     if kind == "calibrated":
         net, calib = calibrated_network(make_synthetic_sheets(n, seed=7), seed=7)
         maps = [AffineMap(0.0, float(s)) for s in calib.s]
@@ -287,6 +271,7 @@ def sweep_case(n, kind):
 # sha256 of the int64 default order from the sweep that solved
 # delta_matrix / delta_vector afresh on every step
 SWEEP_ORDERS = {
+    (2, "two-bank"): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
     (30, "full"): "d26aa808253190f5839b41c98073871cc751b58caacce5df72ebf09e8ac42729",
     (30, "partial"): "b1486f6d29fee69d611a15a5eb8155d5e5f3b548d4fcaaaaa19d28c539bdbc06",
     (30, "gamma"): "a98d818b101f2c8b495ba957276e18fb897289fede51667a8606fab1cdf65dc2",
@@ -310,35 +295,41 @@ def _count_inversions(monkeypatch):
     return calls
 
 
-def _record_drift(monkeypatch):
-    residuals = []
+def _record_rungs(monkeypatch):
+    """Each rung the drift guard sees, as ``(z, drift, D error, d error)``: the
+    guard's residual, and the largest deviation of ``Delta_k = M^{-1} a_x(z)``
+    and ``delta_k`` from fresh solves, relative to ``max |Delta(z)|`` and
+    ``max(p_bar)``.  The errors are taken on the spot, so that no rung is kept."""
+    rungs = []
     drift = comonotonic._drift
 
-    def recorded(*args):
-        residuals.append(drift(*args))
-        return residuals[-1]
+    def recorded(net, z, held, Minv, d, c):
+        D_ref, d_ref = delta_matrix(net, z), delta_vector(net, z)
+        D_err = np.max(np.abs(Minv * _external_share(net, z) - D_ref)) / np.max(np.abs(D_ref))
+        d_err = np.max(np.abs(d - d_ref)) / net.p_bar.max()
+        rungs.append((z.copy(), drift(net, z, held, Minv, d, c), D_err, d_err))
+        return rungs[-1][1]
 
     monkeypatch.setattr(comonotonic, "_drift", recorded)
-    return residuals
+    return rungs
 
 
 @pytest.mark.parametrize("n, kind", sorted(SWEEP_ORDERS))
 def test_rank_two_sweep_matches_fresh_solves(monkeypatch, n, kind):
     net, model = sweep_case(n, kind)
     inversions = _count_inversions(monkeypatch)
-    residuals = _record_drift(monkeypatch)
+    rungs = _record_rungs(monkeypatch)
     th = solvency_thresholds(net, model)
     order = hashlib.sha256(th.order.astype("<i8").tobytes()).hexdigest()
     assert order == SWEEP_ORDERS[(n, kind)], list(th.order)
     assert len(inversions) == 1  # the drift guard never fired
-    assert len(residuals) == n + 1
-    assert max(residuals) <= comonotonic.DRIFT_TOL
-    scale = float(net.p_bar.max())
+    assert len(rungs) == n + 1
     z = np.zeros(n, dtype=bool)
-    for k, (D, d) in enumerate(th.ladder):
-        D_ref, d_ref = delta_matrix(net, z), delta_vector(net, z)
-        assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref)), k
-        assert np.max(np.abs(d - d_ref)) <= 1e-12 * scale, k
+    for k, (z_k, residual, D_err, d_err) in enumerate(rungs):
+        assert np.array_equal(z_k, z), k
+        assert residual <= comonotonic.DRIFT_TOL, k
+        assert D_err <= 1e-12, k
+        assert d_err <= 1e-12, k
         if k < n:
             z[th.order[k]] = True
 
@@ -360,19 +351,98 @@ def test_drift_guard_sees_error_off_the_intercept():
 
 def test_drift_guard_reinverts(monkeypatch):
     net, model = sweep_case(30, "gamma")
-    reference = solvency_thresholds(net, model)
+    reference = expected_values(net, model)
     monkeypatch.setattr(comonotonic, "DRIFT_TOL", -1.0)
     inversions = _count_inversions(monkeypatch)
-    th = solvency_thresholds(net, model)
+    ev = expected_values(net, model)
+    th = ev.thresholds
     assert len(inversions) == net.n + 2  # the first inverse, then one per step
-    assert list(th.order) == list(reference.order)
-    assert np.allclose(th.q_star, reference.q_star, rtol=1e-12, atol=0.0)
     z = np.zeros(net.n, dtype=bool)
-    for k, (D, d) in enumerate(th.ladder):
+    for k in range(net.n + 1):
         assert np.array_equal(inversions[k + 1], z)
-        assert np.allclose(d, delta_vector(net, z), rtol=0.0, atol=1e-12 * net.p_bar.max())
         if k < net.n:
             z[th.order[k]] = True
+    assert list(th.order) == list(reference.thresholds.order)
+    assert np.allclose(th.q_star, reference.thresholds.q_star, rtol=1e-12, atol=0.0)
+    assert np.allclose(ev.pd, reference.pd, rtol=0.0, atol=1e-12)
+    for field in ("EV", "Ep", "EE"):
+        atol = 1e-12 * net.p_bar.max()
+        assert np.allclose(getattr(ev, field), getattr(reference, field), rtol=0.0, atol=atol)
+
+
+def test_expected_values_memory_stays_bounded():
+    # the sweep adds each interval's term as it goes and keeps only the
+    # current rung, a few n x n arrays (0.3 MiB each at n = 200); keeping all
+    # n + 1 rungs would peak at about 63 MiB
+    net, model = sweep_case(200, "calibrated")
+    tracemalloc.start()
+    try:
+        expected_values(net, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _gamma_net(rng, n, alpha_x, alpha_L):
+    """``random_net`` plus cross-holdings: row sums of Gamma in [0.1, 0.5]."""
+    L = random_net(rng, n).L
+    G = rng.uniform(0.0, 1.0, (n, n))
+    G[rng.random((n, n)) < 0.5] = 0.0
+    np.fill_diagonal(G, 0.0)
+    G[0, 1] = 0.5  # at least one nonzero row
+    rs = G.sum(axis=1)
+    G *= (rng.uniform(0.1, 0.5, n) / np.where(rs > 0.0, rs, 1.0))[:, None]
+    return build_network(L, alpha_x, alpha_L, G)
+
+
+def _bisect_solvency(solvent):
+    """The lowest factor value at which ``solvent`` holds, to 1e-13 relative:
+    0 if it holds at 0, inf if it fails at every doubling up to 2**200."""
+    if solvent(0.0):
+        return 0.0
+    hi = 1.0
+    while not solvent(hi):
+        hi *= 2.0
+        if hi > 2.0**200:
+            return np.inf
+    lo = 0.0
+    while hi - lo > 1e-13 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if solvent(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("alpha_x, alpha_L", [(1.0, 1.0), (0.5, 0.5), (0.7, 0.3)])
+def test_thresholds_match_upper_picard_under_cross_holdings(alpha_x, alpha_L):
+    # the sweep never runs the clearing kernel; the oracle iterates psi_star
+    # down from an upper bound of every fixed point, so it finds the greatest
+    # clearing wealths also under Gamma != 0
+    rng = np.random.default_rng([41, int(10 * alpha_x), int(10 * alpha_L)])
+    finite = 0
+    for _ in range(4):
+        n = int(rng.integers(2, 6))
+        net = _gamma_net(rng, n, alpha_x, alpha_L)
+        assert net.Gamma.any()
+        # some banks rich at q = 0 (threshold 0), some with flat maps (often inf)
+        u = rng.random(n)
+        shifts = np.where(u < 0.15, 1.5, rng.uniform(0.0, 0.1, n)) * net.p_bar
+        slopes = np.where(u > 0.85, 0.0, rng.uniform(0.4, 1.6, n)) * net.p_bar
+        model = FactorModel(
+            [AffineMap(float(a), float(b)) for a, b in zip(shifts, slopes)], LogNormal(-0.1, 0.3)
+        )
+        q_star = solvency_thresholds(net, model).q_star
+        for i in range(n):
+            def solvent(q, i=i):
+                return upper_picard_clearing(net, model.endowments(np.float64(q)))[i] >= -ZERO_TOL
+
+            ref = _bisect_solvency(solvent)
+            if ref == 0.0 or np.isinf(ref):
+                assert q_star[i] == ref, (i, q_star[i], ref)
+            else:
+                assert abs(q_star[i] - ref) <= 1e-9 * ref, (i, q_star[i], ref)
+            finite += 0.0 < ref < np.inf
+    assert finite
 
 
 # ---------------------------------------------------------------------------
@@ -537,25 +607,25 @@ def test_expected_values_vs_monte_carlo(two_bank):
 
 
 def test_tied_thresholds_swap_invariance():
-    net = build_network([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], 1.0, 1.0)
-    model = FactorModel(
-        [AffineMap(0.0, 2.0), AffineMap(0.0, 2.0)], LogNormal(-0.5, 1.0)
-    )
-    th = solvency_thresholds(net, model)
-    assert abs(th.q_star[0] - th.q_star[1]) < 1e-12
-    order2 = np.array([th.order[1], th.order[0]])
-    ladder2 = []
-    z = np.zeros(2)
-    for k in range(3):
-        ladder2.append((delta_matrix(net, z), delta_vector(net, z)))
-        if k < 2:
-            z[order2[k]] = 1.0
-    swapped = SolvencyThresholds(q_star=th.q_star, order=order2, ladder=tuple(ladder2))
-    a = expected_values(net, model, thresholds=th)
-    b = expected_values(net, model, thresholds=swapped)
-    assert np.allclose(a.EV, b.EV, atol=1e-10)
-    assert np.allclose(a.Ep, b.Ep, atol=1e-10)
-    assert np.allclose(a.EE, b.EE, atol=1e-10)
+    # banks 0 and 1 are mirror images, so their thresholds tie and the sweep
+    # defaults one of them first; relabeling the banks flips which one, and
+    # the expectations must not depend on it
+    L = np.array([[0.0, 1.0, 0.5, 1.0], [1.0, 0.0, 0.5, 1.0], [0.7, 0.7, 0.0, 2.0]])
+    maps = [AffineMap(0.0, 2.0), AffineMap(0.0, 2.0), AffineMap(0.5, 3.0)]
+    perm = np.array([1, 2, 0])  # new bank j is old bank perm[j]
+    L2 = np.column_stack([L[np.ix_(perm, perm)], L[perm, 3]])
+    dist = LogNormal(-0.5, 1.0)
+    for alpha in (1.0, 0.6):
+        ev = expected_values(build_network(L, alpha, alpha), FactorModel(maps, dist))
+        q_star = ev.thresholds.q_star
+        assert abs(q_star[0] - q_star[1]) < 1e-12 and q_star[2] > q_star[0]
+        model2 = FactorModel([maps[i] for i in perm], dist)
+        ev2 = expected_values(build_network(L2, alpha, alpha), model2)
+        order, order2 = list(ev.thresholds.order), list(perm[ev2.thresholds.order])
+        assert order[0] == order2[0] == 2 and order[1:] == order2[:0:-1]
+        inv = np.argsort(perm)
+        for field in ("pd", "EV", "Ep", "EE"):
+            assert np.allclose(getattr(ev2, field)[inv], getattr(ev, field), atol=1e-10)
 
 
 def test_sorting_invariance():
