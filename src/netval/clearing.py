@@ -130,57 +130,57 @@ def delta_vector(net: FinancialNetwork, z) -> np.ndarray:
 
 
 def _clear(net: FinancialNetwork, X: np.ndarray):
-    """Fictitious default over endowment rows; ``(V, p, E, Z, rounds)``.
+    """Fictitious default over endowment columns; ``(V, p, E, Z, rounds)``, each ``(n, m)``.
 
-    Every row starts from the no-default wealths and adds each bank with
-    ``V < -ZERO_TOL`` to its default set until no set changes.  Sets only
-    grow, so there are at most ``n + 1`` rounds; ``rounds`` counts the
-    affine solves the slowest row went through.  Each round the changed
-    rows are keyed by default pattern, packed little-endian into
-    ``ceil(n/64)`` uint64 words; one stable ``lexsort`` brings equal keys
-    together with rows in ascending order, and groups are cut where the
-    sorted key changes.  Each group solves only the coupled block of its
-    pattern (``_coupled``) for ``R = a_x X - c``: by one LU with its rows as
-    right-hand sides if it has at most ``|T|`` rows, else by one product
-    with ``A^{-1}``; then ``V = R + K[:, T] V_T``.  Nothing is kept.
+    The kernel is banks-major, one column per path, so each round's default test, pattern
+    packing and the final clip run along the long, contiguous path axis.  Every column starts
+    from the no-default wealths and adds each bank with ``V < -ZERO_TOL`` to its default set
+    until no set changes.  Sets only grow, so there are at most ``n + 1`` rounds; ``rounds``
+    counts the affine solves the slowest column went through.  Each round the changed columns
+    are keyed by default pattern, packed little-endian down the bank axis into ``ceil(n/64)``
+    uint64 words; one stable ``lexsort`` brings equal keys together with columns in ascending
+    order, and groups are cut where the sorted key changes.  Each group solves only the
+    coupled block of its pattern (``_coupled``) for ``R = a_x X - c``: by one LU with its
+    columns as right-hand sides if it has at most ``|T|`` columns, else by one product with
+    ``A^{-1}``; then ``V = R + K[:, T] V_T``.  Nothing is kept.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
-    m = X.shape[0]
+    n, m = X.shape
     held = net.Gamma.any(axis=1)
 
     def wealths(z, Xg):
-        R = Xg * _external_share(net, z)
-        R -= _intercept_rhs(net, z)
+        R = Xg * _external_share(net, z)[:, None]
+        R -= _intercept_rhs(net, z)[:, None]
         T, KT = _coupled(net, z, held)
         A = np.eye(T.size) - KT[:, T].T
-        if Xg.shape[0] <= T.size:  # LAPACK's solve pays per right-hand side
-            R += _solve(A, R[:, T].T).T @ KT
+        if Xg.shape[1] <= T.size:  # LAPACK's solve pays per right-hand side
+            R += KT.T @ _solve(A, R[T])
         elif T.size:
-            R += R[:, T] @ _solve(A, np.eye(T.size)).T @ KT
+            R += KT.T @ (_solve(A, np.eye(T.size)) @ R[T])
         return R
 
-    Z = np.zeros((m, net.n), dtype=bool)
-    V = wealths(np.zeros(net.n, dtype=bool), X)
+    Z = np.zeros((n, m), dtype=bool)
+    V = wealths(np.zeros(n, dtype=bool), X)
     rounds = 1
 
-    for _ in range(net.n + 1):
-        Z_new = Z | (V < -ZERO_TOL)
-        changed = np.any(Z_new != Z, axis=1)
+    for _ in range(n + 1):
+        new = (V < -ZERO_TOL) & ~Z
+        changed = np.logical_or.reduce(new, axis=0)
         if not changed.any():
             break
-        Z = Z_new
+        Z |= new
         rounds += 1
         idx = np.flatnonzero(changed)
-        keys = np.zeros((idx.size, 8 * -(-net.n // 64)), dtype=np.uint8)
-        keys[:, : -(-net.n // 8)] = np.packbits(Z[idx], axis=1, bitorder="little")
+        keys = np.zeros((idx.size, 8 * -(-n // 64)), dtype=np.uint8)
+        keys[:, : -(-n // 8)] = np.packbits(Z[:, idx], axis=0, bitorder="little").T
         keys = keys.view(np.uint64)
         order = np.lexsort(keys.T)
         cuts = np.flatnonzero(np.any(np.diff(keys[order], axis=0), axis=1)) + 1
-        for rows in np.split(idx[order], cuts):
-            V[rows] = wealths(Z[rows[0]], X[rows])
+        for cols in np.split(idx[order], cuts):
+            V[:, cols] = wealths(Z[:, cols[0]], X[:, cols])
 
-    p = np.clip(net.p_bar[None, :] - np.maximum(-V, 0.0), 0.0, net.p_bar[None, :])
+    p = np.clip(net.p_bar[:, None] - np.maximum(-V, 0.0), 0.0, net.p_bar[:, None])
     E = np.maximum(V, 0.0)
     return V, p, E, Z.astype(int), rounds
 
@@ -191,21 +191,21 @@ def greatest_clearing(net: FinancialNetwork, x) -> ClearingResult:
     Starts from the no-default wealths, marks every bank with negative
     wealth as defaulting, re-solves the affine system, and stops once the
     default set is stable.  The set only grows, so at most ``n + 1``
-    default-set guesses are evaluated.  This is the batch kernel on one row.
+    default-set guesses are evaluated.  This is the batch kernel on one column.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n,):
         raise ValueError(f"endowments must have shape ({net.n},), got {x.shape}")
-    V, p, E, _, rounds = _clear(net, x[None, :])
+    V, p, E, _, rounds = _clear(net, x[:, None])
     # z is read off the final wealths: under cross-holdings the kernel's
     # default set can keep a bank whose wealth came back nonnegative
     return ClearingResult(
-        V=V[0],
-        p=p[0],
-        E=E[0],
-        z=(V[0] < -ZERO_TOL).astype(int),
+        V=V[:, 0],
+        p=p[:, 0],
+        E=E[:, 0],
+        z=(V[:, 0] < -ZERO_TOL).astype(int),
         iterations=rounds,
-        societal_payment=float(net.pi_soc @ p[0]),
+        societal_payment=float(net.pi_soc @ p[:, 0]),
     )
 
 
@@ -220,9 +220,10 @@ def greatest_clearing_batch(net: FinancialNetwork, X):
     Returns
     -------
     (V, p, E, Z) : ndarrays of shape (m, n)
-        ``Z`` is the integer default indicator per row.
+        ``Z`` is the integer default indicator per row.  All four are
+        transposed views of the banks-major kernel's ``(n, m)`` arrays.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.n:
         raise ValueError(f"endowment batch must have shape (m, {net.n})")
-    return _clear(net, X)[:4]
+    return tuple(a.T for a in _clear(net, np.ascontiguousarray(X.T))[:4])

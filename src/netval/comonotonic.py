@@ -290,17 +290,28 @@ def adaptive_gauss_legendre(func, lo, hi):
 def _quadrature_pe(dist, f, a: float, b: float) -> float:
     # integrate f(q) * density over [a, b) against a finite support window
     if isinstance(dist, Uniform01):
-        lo, hi = max(a, 0.0), min(b, 1.0)
+        edges = [max(a, 0.0), min(b, 1.0)]
+
+        def func(q):
+            return np.asarray(f(q), dtype=float) * dist.pdf(q)
+
     elif isinstance(dist, LogNormal):
-        cutoff = math.exp(dist.mu + 40.0 * dist.sigma)
-        lo, hi = max(a, 0.0), min(b, cutoff)
+        # in y = (log q - mu) / sigma against the normal density on |y| <= 40,
+        # split at the map's knots: in q, [1, inf) is a window 1e17 wide
+        # whose first Gauss-Legendre nodes all miss the mass
+        y = [-math.inf if v <= 0.0 else (math.log(v) - dist.mu) / dist.sigma
+             for v in (a, b, *getattr(f, "q_knots", ()))]
+        lo, hi = max(y[0], -40.0), min(y[1], 40.0)
+        edges = [lo, *(t for t in y[2:] if lo < t < hi), hi]
+
+        def func(t):
+            q = np.exp(dist.mu + dist.sigma * t)
+            return np.asarray(f(q), dtype=float) * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
     else:
         raise ModelError(f"no quadrature rule for distribution kind {dist.kind!r}")
-    if hi <= lo:
-        return 0.0
-    return adaptive_gauss_legendre(
-        lambda q: np.asarray(f(q), dtype=float) * dist.pdf(q), lo, hi
-    )
+    pieces = zip(edges, edges[1:])
+    return sum((adaptive_gauss_legendre(func, u, v) for u, v in pieces if u < v), 0.0)
 
 
 def partial_expectation(dist, f, a: float, b: float):

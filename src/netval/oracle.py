@@ -265,27 +265,26 @@ class ExactExpectations:
 
 
 def _mean_se(A: np.ndarray):
-    m = A.shape[0]
-    mean = A.mean(axis=0)
-    if m > 1:
-        se = A.std(axis=0, ddof=1) / math.sqrt(m)
-    else:
-        se = np.zeros_like(mean)
-    return mean, se
+    # banks-major (k, m): numpy sums the contiguous path axis pairwise
+    m = A.shape[1]
+    se = A.std(axis=1, ddof=1) / math.sqrt(m) if m > 1 else np.zeros(A.shape[0])
+    return A.mean(axis=1), se
 
 
 def mc_expectations(net: FinancialNetwork, batch: ScenarioBatch) -> MCExpectations:
-    """Average the clearing map over a scenario batch, path by path."""
+    """Average the clearing map over a scenario batch, path by path.
+
+    Each quantity is reduced on its own, as ``.T`` of the batch kernel's view.
+    """
     X = batch.X
     if X.size == 0:
         raise OracleError("empty scenario batch")
     V, p, E, Z = greatest_clearing_batch(net, X)
-    soc = p @ net.pi_soc
-    pd, se_pd = _mean_se(Z.astype(float))
-    EV, se_EV = _mean_se(V)
-    Ep, se_Ep = _mean_se(p)
-    EE, se_EE = _mean_se(E)
-    ms, ss = _mean_se(soc[:, None])
+    pd, se_pd = _mean_se(Z.T)
+    EV, se_EV = _mean_se(V.T)
+    Ep, se_Ep = _mean_se(p.T)
+    EE, se_EE = _mean_se(E.T)
+    ms, ss = _mean_se((net.pi_soc @ p.T)[None, :])
     return MCExpectations(
         pd=pd, EV=EV, Ep=Ep, EE=EE, E_soc=float(ms[0]),
         se_pd=se_pd, se_EV=se_EV, se_Ep=se_Ep, se_EE=se_EE, se_soc=float(ss[0]),

@@ -571,3 +571,29 @@ def test_single_batch_and_regions_agree_at_scale(alpha):
         res = greatest_clearing(net, x)
         assert np.array_equal(res.z, z)
         assert np.max(np.abs(res.V - v)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("alpha_x, alpha_L", [(1.0, 1.0), (0.5, 0.5), (0.7, 0.3)])
+def test_small_nets_agree_at_scale(alpha_x, alpha_L):
+    # 12,000 rows on 2-6 banks with liabilities near 1e6; each row sits
+    # within 10% of one bank's comonotonic threshold, so default sets are mixed
+    rng = np.random.default_rng(7)
+    mixed = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        net = build_network(random_net(rng, n=n).L * 1e6, alpha_x, alpha_L)
+        s = net.p_bar * rng.uniform(0.5, 1.5, n)
+        q = solvency_thresholds(
+            net, FactorModel([AffineMap(0.0, float(v)) for v in s], LogNormal(0.0, 0.2))
+        ).q_star
+        q = q[np.isfinite(q) & (q > 0.0)]
+        X = s * rng.choice(q, 200)[:, None] * rng.uniform(0.9, 1.1, (200, n))
+        V, _, _, Z = greatest_clearing_batch(net, X)
+        assert np.array_equal(classify_batch(net, X), Z)
+        scale = float(net.p_bar.max())
+        for x, v, z in zip(X, V, Z):
+            res = greatest_clearing(net, x)
+            assert np.array_equal(res.z, z)
+            assert np.max(np.abs(res.V - v)) <= 1e-12 * scale
+        mixed += int(np.sum((Z.sum(axis=1) > 0) & (Z.sum(axis=1) < n)))
+    assert mixed >= 1000

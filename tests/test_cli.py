@@ -685,17 +685,17 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "mc {dir}/net.csv {dir}/scen_capm.json --paths 400 --seed 5",
-        "b14e5a8963f3e9e4695915d4e4810a338d42ab916467bcca43e8e70fb2474429",
+        "a063aba04d018e27fcb87f0a917cb66300d0c666cabd606f54481b5419d5b4fa",
         id="mc-capm-P",
     ),
     pytest.param(
         "mc {dir}/net.csv {dir}/scen_copula.json --paths 400 --seed 5",
-        "86083b84966ab231f9c90d6be95b2811ad7daa222e400a86ded400ac86c5d71c",
+        "e761a53ca4a5789204f2e72bd4eef57d7af83415d783139855f79fd6e2d64761",
         id="mc-copula",
     ),
     pytest.param(
         "mc {dir}/partial.csv {dir}/scen_finite.json --paths 400 --seed 5",
-        "c6c2beb05e4bd29ed4ade4a14ce9f6aa2aa63d8dd197151a43801ddb32d54f09",
+        "15053654ce2e517cd6987eac1ce1ad7ae6662a793b1bf36f60262fcffc7f3de8",
         id="mc-finite-support",
     ),
 ]

@@ -117,6 +117,23 @@ def test_pe_closed_form_matches_quadrature(mu, sig2, coef, expo, a, width):
     assert abs(fast[1] - slow[1]) < 1e-9
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (1.0, np.inf), (0.3, 0.95)])
+def test_pe_tabulated_lognormal_matches_quad(a, b):
+    # scipy's quad in q, split at the knots; on [1, inf) a rule whose nodes
+    # spread over q's whole window up to exp(mu + 40 sigma) misses the mass
+    from scipy.integrate import quad
+
+    dist = LogNormal(-0.5, 1.0)
+    f = TabulatedMap([0.0, 1.0, 5.0], [0.0, 3.0, 15.0])
+    edges = [a, *(k for k in f.q_knots if a < k < b), b]
+    ref = sum(
+        quad(lambda q: float(f(q)) * float(dist.pdf(np.array([q]))[0]), u, v,
+             epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for u, v in zip(edges, edges[1:])
+    )
+    assert abs(partial_expectation(dist, f, a, b)[1] - ref) <= 1e-10 * ref
+
+
 def test_uniform_affine_closed_form():
     prob, pe = partial_expectation(Uniform01(), AffineMap(1.0, 2.0), 0.25, 0.75)
     assert abs(prob - 0.5) < 1e-14
@@ -595,15 +612,24 @@ def test_finite_factor_matches_exact_enumeration(two_bank):
 
 
 def test_expected_values_vs_monte_carlo(two_bank):
-    model = bench_model()
-    ev = expected_values(two_bank, model)
-    batch = simulate({"kind": "comonotonic-factor", "model": model}, 200_000, 42)
-    mc = mc_expectations(two_bank, batch)
-    for field in ("pd", "EV", "Ep", "EE"):
-        a = getattr(ev, field)
-        m = getattr(mc, field)
-        se = getattr(mc, "se_" + field)
-        assert np.all(np.abs(a - m) <= 4.0 * se + 1e-12), field
+    # tabulated maps take the quadrature on every factor interval, the
+    # unbounded top one included
+    tabulated = FactorModel(
+        [
+            TabulatedMap([0.0, 1.0, 5.0], [0.0, 3.0, 15.0]),
+            TabulatedMap([0.0, 0.5, 2.0, 6.0], [0.0, 2.0, 8.0, 24.0]),
+        ],
+        LogNormal(-0.5, 1.0),
+    )
+    for model in (bench_model(), tabulated):
+        ev = expected_values(two_bank, model)
+        batch = simulate({"kind": "comonotonic-factor", "model": model}, 200_000, 42)
+        mc = mc_expectations(two_bank, batch)
+        for field in ("pd", "EV", "Ep", "EE"):
+            a = getattr(ev, field)
+            m = getattr(mc, field)
+            se = getattr(mc, "se_" + field)
+            assert np.all(np.abs(a - m) <= 4.0 * se + 1e-12), field
 
 
 def test_tied_thresholds_swap_invariance():
@@ -697,22 +723,24 @@ def _pinned_models():
 # repr floats captured before the comonotonic layer moved to one evaluation
 # path per quantity: ("ev", model, alpha) -> order, pd, EV, Ep, EE, q_star;
 # ("pe", law, map) -> (prob, pe) on [0.3, 0.95), [0, inf), [0.8, inf);
-# ("capm", net, alpha, side) -> price, cap with per-bank beta
+# ("capm", net, alpha, side) -> price, cap with per-bank beta.  The lognormal
+# tabulated-map entries come from the quadrature in log q, which keeps the
+# unbounded top interval
 PARENT_VALUES = {
     ('ev', 'lognormal-mixed', 1.0): [
         [2, 0, 3, 1],
         [0.7264921588885174, 0.315721169464274, 0.735520152478178, 0.5689900586829311],
-        [-0.9576054429340013, 0.4248755594560228, -0.2958587166387113, 0.6787984337633683],
-        [2.1390443354903663, 1.7766421635372822, 1.7668530859784248, 1.2394806484252339],
-        [-0.39664977842436755, 0.5482333959187407, 0.2372881973828636, 1.0393177853381346],
+        [-0.4611820941813657, 0.4248755594560328, -0.29585871663870594, 0.6787984337633822],
+        [2.139044335490406, 1.7766421635372922, 1.7668530859784304, 1.2394806484252476],
+        [0.09977357032822852, 0.5482333959187407, 0.2372881973828636, 1.0393177853381346],
         [1.3053766214486866, 0.5646369800474863, 1.3333333333139308, 0.9367185860315828],
     ],
     ('ev', 'lognormal-mixed', 0.7): [
         [2, 0, 3, 1],
         [0.7264921588885174, 0.48389724317258476, 0.735520152478178, 0.6703758046665932],
-        [-1.5547250258734036, -0.011212646698633755, -0.7590810565976953, 0.2725283357253888],
-        [1.541924752550964, 1.4535489705397702, 1.303630746019441, 0.8699552201744382],
-        [-0.39664977842436755, 0.43523838276159615, 0.2372881973828636, 1.0025731155509507],
+        [-1.0583016771208749, -0.011212646698644968, -0.7590810565976998, 0.2725283357253727],
+        [1.5419247525508968, 1.453548970539759, 1.3036307460194365, 0.8699552201744221],
+        [0.09977357032822852, 0.4352383827615961, 0.2372881973828636, 1.0025731155509507],
         [1.3053766214486866, 0.7935219917619876, 1.3333333333139308, 1.152068775921868],
     ],
     ('ev', 'lognormal-power', 1.0): [
@@ -774,9 +802,9 @@ PARENT_VALUES = {
         [0.4657617780757588, 0.5444638002557978],
     ],
     ('pe', 'lognormal', 'tabulated'): [
-        [0.4534311837466316, 0.4387181973406781],
-        [1.0, 4.560418472157068e-244],
-        [0.4657617780757588, 4.560418472140547e-244],
+        [0.4534311837466316, 0.4387181973407652],
+        [1.0, 1.204247622468148],
+        [0.4657617780757588, 0.7684736548194424],
     ],
     ('pe', 'pointmass', 'affine'): [
         [0.4, 0.6280000000000001],

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from netval import (
     solvency_thresholds,
     thresholds_by_clearing_bisection,
 )
+from netval.oracle import ScenarioBatch
 
 CAPM_SPEC = {
     "kind": "capm",
@@ -275,6 +277,41 @@ def test_se_scaling_rate(two_bank):
     large = mc_expectations(two_bank, simulate(spec, 1_000_000, 5))
     ratio = small.se_Ep / large.se_Ep
     assert np.all(ratio >= 8.0) and np.all(ratio <= 12.5)
+
+
+def _fsum_mean_se(col):
+    # exactly rounded sums: the mean and the standard error of a column,
+    # which is 0 for a single path
+    m = col.size
+    mean = math.fsum(col) / m
+    if m == 1:
+        return mean, 0.0
+    return mean, math.sqrt(math.fsum((col - mean) ** 2) / (m - 1)) / math.sqrt(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4_999, 30_011])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_mc_statistics_match_fsum(m, alpha):
+    rng = np.random.default_rng(m)
+    net = random_net(rng, n=5, alpha=alpha)
+    X = rng.uniform(0.0, 3.0, (m, net.n))
+    est = mc_expectations(net, ScenarioBatch(X=X, spec={}, seed=0))
+    V, p, E, Z = greatest_clearing_batch(net, X)
+    assert np.array_equal(est.pd, Z.sum(axis=0) / m)
+    for mean, se, A in [
+        (est.pd, est.se_pd, Z),
+        (est.EV, est.se_EV, V),
+        (est.Ep, est.se_Ep, p),
+        (est.EE, est.se_EE, E),
+        ([est.E_soc], [est.se_soc], (p @ net.pi_soc)[:, None]),
+    ]:
+        for i in range(A.shape[1]):
+            col = A[:, i].astype(float)
+            want, want_se = _fsum_mean_se(col)
+            # relative to the mean absolute value, which is |mean| unless
+            # the column changes sign
+            assert abs(mean[i] - want) <= 2e-15 * math.fsum(np.abs(col)) / m
+            assert abs(se[i] - want_se) <= 1e-12 * want_se
 
 
 def test_bisection_oracle_matches_closed_form(two_bank):
