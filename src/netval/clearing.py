@@ -95,28 +95,6 @@ def _intercept_rhs(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
     return net.p_bar - b * (net.Pi.T @ net.p_bar)
 
 
-def _default_update(net: FinancialNetwork, Minv: np.ndarray, z: np.ndarray, j: int):
-    """``M(z')^{-1}`` from ``Minv = M(z)^{-1}``, where ``z'`` adds bank ``j``.
-
-    Bank ``j``'s column of ``Pi^T diag(z) + Gamma^T diag(1 - z)`` switches
-    from ``Gamma^T`` to ``Pi^T``, and its row of ``M`` is scaled by
-    ``alpha_L``, so ``M(z') = M(z) + U V^T`` with two columns each (one
-    under ``alpha_L = 1``); the Woodbury identity then costs O(n^2).
-    """
-    zf = z.astype(float)
-    zf[j] = 1.0
-    b = 1.0 - (1.0 - net.alpha_L) * zf
-    b[j] = 1.0
-    U = np.zeros((net.n, 2))
-    U[:, 0] = -b * (net.Pi[j] - net.Gamma[j])
-    U[j, 1] = 1.0 - net.alpha_L
-    row_j = net.Pi[:, j] * zf + net.Gamma[:, j] * (1.0 - zf)
-    A = Minv @ U
-    VtMinv = np.vstack((Minv[j], row_j @ Minv))
-    C = np.eye(2) + np.array([A[j], row_j @ A])
-    return Minv - A @ np.linalg.solve(C, VtMinv)
-
-
 def delta_matrix(net: FinancialNetwork, z) -> np.ndarray:
     """Sensitivity of clearing wealths to endowments for default set ``z``."""
     z = np.asarray(z, dtype=bool)

@@ -369,6 +369,9 @@ def _cmd_statics(args) -> None:
     net = read_network_csv(args.network)
     params = _capm_from_json(_load_json(args.params))
     grid = _parse_floats(args.grid, "--grid")
+    bank = args.bank - 1
+    if not 0 <= bank < net.n:
+        raise SchemaError(f"--bank: expected a bank in 1..{net.n}, got {args.bank}")
     rows = []
     for g in grid:
         g = float(g)
@@ -392,15 +395,15 @@ def _cmd_statics(args) -> None:
             p2, n2 = params, build_network(net.L, g, g, gam)
         else:
             d = current_ratio(net, params.s, q0=params.q0)
-            d[args.bank - 1] = g
+            d[bank] = g
             if args.route == "assets":
                 s2 = ratio_via_assets(net, d, q0=params.q0)
                 p2, n2 = replace(params, sigma=None, s=s2), net
             else:
                 n2 = ratio_via_liabilities(net, d, params.s, q0=params.q0)
                 p2 = params
-        force = args.force or not n2.full_recovery
-        sides = {which: _price_side(n2, p2, which, force) for which in ("lower", "upper")}
+        # every grid point is priced, under partial recovery too
+        sides = {which: _price_side(n2, p2, which, True) for which in ("lower", "upper")}
         for k, name in enumerate(("price", "rate", "cap")):
             for which, vals in sides.items():
                 metric, col = f"{name}_{which}", vals[k]
@@ -520,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma-separated grid values")
     p.add_argument("--route", choices=("assets", "liabilities"), default="assets")
     p.add_argument("--bank", type=int, default=1, help="1-based bank whose ratio is swept")
-    p.add_argument("--force", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_statics)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import _coupled, _default_update, _external_share, _intercept_rhs, _inverse
+from .clearing import _coupled, _external_share, _intercept_rhs, _solve
 from .network import FinancialNetwork
 
 BISECT_REL_TOL = 1e-10
@@ -166,16 +166,6 @@ class LogNormal:
 
         return np.exp(self.mu + self.sigma * ndtri(u))
 
-    def pdf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.zeros_like(q)
-        pos = q > 0.0
-        lq = np.log(q[pos])
-        out[pos] = np.exp(-0.5 * ((lq - self.mu) / self.sigma) ** 2) / (
-            q[pos] * self.sigma * math.sqrt(2.0 * math.pi)
-        )
-        return out
-
 
 class PointMass:
     """Finite mixture of point masses on the nonnegative half-line."""
@@ -246,10 +236,6 @@ class Uniform01:
     def quantile(self, u):
         return np.asarray(u, dtype=float)
 
-    def pdf(self, q):
-        q = np.asarray(q, dtype=float)
-        return ((q >= 0.0) & (q <= 1.0)).astype(float)
-
 
 # ---------------------------------------------------------------------------
 # Partial expectations
@@ -290,10 +276,11 @@ def adaptive_gauss_legendre(func, lo, hi):
 def _quadrature_pe(dist, f, a: float, b: float) -> float:
     # integrate f(q) * density over [a, b) against a finite support window
     if isinstance(dist, Uniform01):
+        # the density is 1 on [0, 1], where every node lies
         edges = [max(a, 0.0), min(b, 1.0)]
 
         def func(q):
-            return np.asarray(f(q), dtype=float) * dist.pdf(q)
+            return np.asarray(f(q), dtype=float)
 
     elif isinstance(dist, LogNormal):
         # in y = (log q - mu) / sigma against the normal density on |y| <= 40,
@@ -483,19 +470,11 @@ def _sup_insolvent_bisect(g, target: np.ndarray, hint: float, cap) -> np.ndarray
     return sup
 
 
-# Largest residual of the updated inverse, on c(z) relative to max(p_bar)
-# and on the ones vector, that the sweep accepts before inverting M(z) afresh.
-DRIFT_TOL = 1e-12
-
-
-def _drift(net: FinancialNetwork, z, held, Minv, d, c) -> float:
-    """``max(||M(z) d - c||_inf / max(p_bar), ||M(z) Minv 1 - 1||_inf)``, O(n |T|)."""
-    T, KT = _coupled(net, z, held)
-    W = np.stack((d, Minv.sum(axis=1)))
-    W -= W[:, T] @ KT  # M(z) v = v - K[:, T] v_T
-    W[0] = (W[0] - c) / net.p_bar.max()
-    W[1] -= 1.0
-    return float(np.max(np.abs(W)))
+def _pivot(s: float) -> float:
+    # the coupled block is strictly column diagonally dominant, so every pivot is positive
+    if not (math.isfinite(s) and s > 0.0):
+        raise RuntimeError("internal invariant violation: default-set pivot is not positive")
+    return s
 
 
 def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
@@ -511,20 +490,22 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     ``u``, mapped back by ``u**(1/c)``; otherwise all still-solvent banks
     are bisected together.
 
-    The sweep carries ``M(z)^{-1}`` instead of factoring ``M(z)`` anew: a default
-    changes one row and one column of ``M``, a rank-two update (Woodbury), so a step
-    costs O(n^2).  Each rung is ``Delta_k = M^{-1} diag(a_x(z))`` and
-    ``delta_k = M^{-1} c(z)``.  A drift guard checks the inverse on two directions every
-    step, ``||M(z) delta_k - c(z)||_inf / max(p_bar)`` and ``||M(z) M^{-1} 1 - 1||_inf``,
-    and inverts ``M(z)`` afresh when either passes ``DRIFT_TOL``.  Inverses and the
-    guard's products use only the coupled block of ``M(z)`` (``clearing._coupled``).
+    The sweep carries only ``A^{-1}``, the inverse of the coupled block
+    ``A = I - K[T, T]`` of ``M(z)`` (``clearing._coupled``), and applies
+    ``M(z)^{-1} R = R + K[:, T] A^{-1} R_T`` as the clearing kernel does.  A default
+    adds one bank to the block by bordering, a Schur complement in O(n |T|); a held
+    bank, whose ``Gamma`` column is already in the block, is first dropped from it.
+    Every column of ``K`` sums to below 1 (``pi_soc > 0``, ``Gamma`` row sums below
+    1), so ``A`` is strictly column diagonally dominant for every ``z`` and the
+    bordering is elimination without pivoting on it: every pivot is positive.
+    Each rung is ``Delta_k = M^{-1} diag(a_x(z))`` and ``delta_k = M^{-1} c(z)``.
 
     On ``I_k = [q_{k+1}, q_k)`` (``q_0 = inf``, ``q_{n+1} = 0``) exactly the first
     ``k`` banks of ``order`` default and wealths are ``Delta_k f(q) - delta_k``.
     Given ``moments`` (``_interval_moments``), the sweep adds the interval's term
     ``Delta_k E[f(q); I_k] - delta_k P(I_k)`` to ``EV`` once ``q_{k+1}`` is known;
     ``order[k]`` is solvent exactly on the intervals summed so far, so its ``EE``
-    is its ``EV`` then.  Only the current rung is kept: O(n^2) memory.  Returns
+    is its ``EV`` then.  Only the current block is kept: O(n^2) memory.  Returns
     ``(SolvencyThresholds, EV, EE)``; without ``moments`` both are zero.
     """
     if model.n != net.n:
@@ -544,32 +525,39 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     q_star = np.empty(n)
     order = np.empty(n, dtype=int)
     EV, EE = np.zeros(n), np.zeros(n)
-    # one buffer for every rung: a fresh n x n array per step let malloc return
-    # the pages and fault them in again (0.2 s of system time at n = 400)
-    D = np.empty((n, n))
-    Minv = _inverse(net, z)
-    held = net.Gamma.any(axis=1)
+    # the block in buffers of n slots, filled to m: banks T[:m], KT[:m] = K[:, T]^T
+    # and B[:m, :m] = A^{-1}; it starts as the held banks (empty when Gamma = 0)
+    T0, KT0 = _coupled(net, z, net.Gamma.any(axis=1))
+    m = T0.size
+    T, KT, B = np.empty(n, dtype=int), np.empty((n, n)), np.empty((n, n))
+    T[:m], KT[:m] = T0, KT0
+    B[:m, :m] = _solve(np.eye(m) - KT0[:, T0].T, np.eye(m))
     remaining = np.arange(n)
     q_prev = np.inf
 
     for k in range(n + 1):
-        c = _intercept_rhs(net, z)
-        d = Minv @ c
-        if _drift(net, z, held, Minv, d, c) > DRIFT_TOL:
-            Minv = _inverse(net, z)
-            d = Minv @ c
-        D = np.multiply(Minv, _external_share(net, z), out=D)
+        Tm, KTm, Bm = T[:m], KT[:m], B[:m, :m]
+        a_x = _external_share(net, z)
+        R = _intercept_rhs(net, z)[:, None]
+        if affine is not None:
+            R = np.column_stack((R, a_x * affine[0], a_x * affine[1]))
+        R += KTm.T @ (Bm @ R[Tm])
+        d = R[:, 0]
         q_k = 0.0
         if k < n:
             target = d[remaining]
             if affine is not None:
-                a, b = (D @ affine[0])[remaining], (D @ affine[1])[remaining]
+                a, b = R[remaining, 1], R[remaining, 2]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     sups = np.where(a >= target, 0.0, np.where(b <= 0.0, np.inf, (target - a) / b))
                     if power != 1.0:
                         sups = sups ** (1.0 / power)
             else:
-                rows = D[remaining]
+                # rows of Delta_k: I[remaining] plus K[remaining, T] A^{-1} on columns T
+                rows = np.zeros((remaining.size, n))
+                rows[np.arange(remaining.size), remaining] = 1.0
+                rows[:, Tm] += KTm[:, remaining].T @ Bm
+                rows *= a_x
 
                 def g(q, sel, rows=rows):
                     X = model.endowments(q)
@@ -581,15 +569,33 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
             q_k = min(q_prev, float(sups[at]))
         if moments is not None and q_k < q_prev:
             prob, pe = moments(q_k, q_prev)
-            EV += D @ pe - d * prob
+            r = a_x * pe
+            EV += r + KTm.T @ (Bm @ r[Tm]) - d * prob
         if k == n:
             break
         EE[pick] = EV[pick]
         q_star[pick] = q_k
         order[k] = pick
         remaining = np.delete(remaining, at)
-        Minv = _default_update(net, Minv, z, pick)
+        slot = np.flatnonzero(Tm == pick)
+        if slot.size:
+            # a held bank: swap it into the last slot and drop its row and column
+            t, m = int(slot[0]), m - 1
+            T[[t, m]], KT[[t, m]] = T[[m, t]], KT[[m, t]]
+            B[[t, m], : m + 1] = B[[m, t], : m + 1]
+            B[: m + 1, [t, m]] = B[: m + 1, [m, t]]
+            B[:m, :m] -= np.outer(B[:m, m], B[m, :m] / _pivot(B[m, m]))
+        # border the defaulter: its row of K scales by alpha_L, its column turns to Pi^T
         z[pick] = True
+        KT[:m, pick] *= net.alpha_L
+        KT[m] = net.Pi[pick] * (1.0 - (1.0 - net.alpha_L) * z)
+        u = B[:m, :m] @ KT[m, T[:m]]
+        v = KT[:m, pick] @ B[:m, :m]
+        s = _pivot(1.0 - v @ KT[m, T[:m]])
+        B[:m, :m] += np.outer(u / s, v)
+        B[:m, m], B[m, :m], B[m, m] = u / s, v / s, 1.0 / s
+        T[m] = pick
+        m += 1
         q_prev = q_k
 
     return SolvencyThresholds(q_star=q_star, order=order), EV, EE

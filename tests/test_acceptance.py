@@ -277,7 +277,6 @@ def test_criterion_7_scale_and_alpha_sweep(tmp_path):
             "alpha",
             "--grid",
             "0.25,0.5,0.75,1.0",
-            "--force",
         ],
         capture_output=True,
         text=True,

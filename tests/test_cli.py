@@ -246,6 +246,38 @@ def test_calibrate_infeasible_sheets(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("bank", ["0", "-1", "3"])
+def test_statics_rejects_bank_out_of_range(two_bank_csv, beta1_params, capsys, bank):
+    argv = ["statics", two_bank_csv, beta1_params, "--sweep", "ratio", "--grid", "0.5"]
+    assert cli.main(argv + [f"--bank={bank}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "schema"
+    assert err["error"]["message"] == f"--bank: expected a bank in 1..2, got {bank}"
+
+
+def test_statics_ratio_sweeps_the_named_bank(two_bank_csv, beta1_params, capsys):
+    from dataclasses import replace
+
+    from netval import current_ratio, price_and_cap, ratio_via_assets
+
+    argv = ["statics", two_bank_csv, beta1_params, "--sweep", "ratio", "--bank", "2"]
+    assert cli.main(argv + ["--grid", "0.3,0.5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    net = read_network_csv(two_bank_csv)
+    params = cli._capm_from_json(cli._load_json(beta1_params))
+    for g in (0.3, 0.5):
+        d = current_ratio(net, params.s, q0=params.q0)
+        d[1] = g
+        p2 = replace(params, sigma=None, s=ratio_via_assets(net, d, q0=params.q0))
+        for which in ("lower", "upper"):
+            price, cap = price_and_cap(net, p2, which)
+            for metric, want in ((f"price_{which}", price), (f"cap_{which}", cap)):
+                got = [r["value"] for r in rows if r["param"] == g and r["metric"] == metric]
+                assert got == [*want.tolist(), float(np.median(want))], metric
+
+
 def test_simulate_and_mc(tmp_path, two_bank_csv, bench_model):
     scenario = tmp_path / "scen.json"
     scenario.write_text(
@@ -614,7 +646,7 @@ GOLDEN_SHEETS = (
 GOLDEN_CALLS = [
     pytest.param(
         "bounds {dir}/net.csv {dir}/bounds_lognormal.json",
-        "d18478c01485c5b38cee4edcc40a0095bc3e8ff243c2bd6f32b43d8d3d767488",
+        "a82e340deb7dd352892493e65fcc60b148ca0fa21bdb26e9877d2269a4a37db4",
         id="bounds-lognormal-conditional",
     ),
     pytest.param(
@@ -624,7 +656,7 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "bounds {dir}/net.csv {dir}/bounds_tabulated.json",
-        "73ccbe3a9e88c56ba4e9c4e39bfb0e278b0b5b6e3cdda4aab25fd7c8519aea17",
+        "1493b361fca554b921a840514af6b6ae6b1fe3ba89e05d50cd36106cb53cfda0",
         id="bounds-tabulated-quantile",
     ),
     pytest.param(
@@ -640,7 +672,7 @@ GOLDEN_CALLS = [
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep ratio --route liabilities"
         " --grid 0.8,1.2,1.6",
-        "5eca32f4f080d45b0670f68aaff720892fdaf266bd2ce0aee720e012e5d41c48",
+        "4e9dc400d2afe70af2c4dd1f173feeb7d5f937fe61fd4b7deedf77e76a89db8f",
         id="statics-ratio-liabilities",
     ),
     pytest.param(
@@ -670,7 +702,7 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "expect {dir}/net.csv {dir}/model_power.json",
-        "2937ac3c37040ae81c9d7d75139b09e55800fcc366873aec24424376b0414be6",
+        "e1c403e2b3a514a208bff8f9b351ca79f5cc6149d365167cde17db9aacad1183",
         id="expect-power",
     ),
     pytest.param(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_two_bank, random_net, upper_picard_clearing
+from helpers import dense_map, make_two_bank, random_net, upper_picard_clearing
 from netval import (
     AffineMap,
     Empirical,
@@ -20,8 +20,6 @@ from netval import (
     Uniform01,
     build_network,
     calibrated_network,
-    delta_matrix,
-    delta_vector,
     exact_expectations,
     expected_values,
     greatest_clearing,
@@ -31,10 +29,9 @@ from netval import (
     simulate,
     solvency_thresholds,
 )
-from netval import comonotonic
 from netval.capm import CapmParams, _eta_maps, price_and_cap
-from netval.clearing import ZERO_TOL, _external_share, _intercept_rhs
-from netval.comonotonic import norm_cdf
+from netval.clearing import ZERO_TOL
+from netval.comonotonic import _pivot, norm_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +122,15 @@ def test_pe_tabulated_lognormal_matches_quad(a, b):
 
     dist = LogNormal(-0.5, 1.0)
     f = TabulatedMap([0.0, 1.0, 5.0], [0.0, 3.0, 15.0])
+
+    def density(q):  # lognormal with mu = -0.5, sigma = 1
+        if q <= 0.0:
+            return 0.0
+        return math.exp(-0.5 * (math.log(q) + 0.5) ** 2) / (q * math.sqrt(2.0 * math.pi))
+
     edges = [a, *(k for k in f.q_knots if a < k < b), b]
     ref = sum(
-        quad(lambda q: float(f(q)) * float(dist.pdf(np.array([q]))[0]), u, v,
-             epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        quad(lambda q: float(f(q)) * density(q), u, v, epsabs=0.0, epsrel=1e-12, limit=200)[0]
         for u, v in zip(edges, edges[1:])
     )
     assert abs(partial_expectation(dist, f, a, b)[1] - ref) <= 1e-10 * ref
@@ -245,7 +247,7 @@ def test_uniform_factor_certain_default():
 
 
 # ---------------------------------------------------------------------------
-# the rank-two sweep at scale
+# the threshold sweep at scale
 
 
 def sweep_case(n, kind):
@@ -295,96 +297,79 @@ SWEEP_ORDERS = {
     (87, "full"): "fe2b048f749eed558f4bd4350ed2ea3a1560eef7f2be07005c240d264f71e699",
     (87, "partial"): "57bce93374c66350aa84d751a99206e39f5f5d5b18effa3a24188d4389e69366",
     (87, "gamma"): "cfdc2846b83751de1d865ee4789fb2b19cd1295623e9bd69145459df3fcb6dd1",
-    # the longest ladder, with the most steps for Woodbury round-off to build up
+    # the longest ladder, with the most bordering steps for round-off to build up
     (200, "calibrated"): "e5672c8f19329a5d35d11c1e3b0acecd98d3b93d7ec9a2c7e59fd351e0a037fc",
 }
 
 
-def _count_inversions(monkeypatch):
-    calls = []
-    inverse = comonotonic._inverse
+def _rung_reference(net, model, order):
+    """Thresholds, default order, ``EV`` and ``EE`` from dense solves of every
+    rung on the prefixes of ``order``: ``helpers.dense_map`` for
+    ``(Delta_k, delta_k)``, the affine roots for the candidates, and lognormal
+    moments of ``shift + slope q`` in closed form."""
+    from scipy.special import ndtr
 
-    def counted(net, z):
-        calls.append(z.copy())
-        return inverse(net, z)
+    shift = np.array([f.shift for f in model.f])
+    slope = np.array([f.slope for f in model.f])
+    mu, sigma = model.dist.mu, model.dist.sigma
 
-    monkeypatch.setattr(comonotonic, "_inverse", counted)
-    return calls
+    def tails(t):  # P(q >= t) and E[q; q >= t]
+        y = (mu - math.log(t)) / sigma if t > 0.0 else math.inf
+        return ndtr(y), math.exp(mu + 0.5 * sigma * sigma) * ndtr(y + sigma)
 
-
-def _record_rungs(monkeypatch):
-    """Each rung the drift guard sees, as ``(z, drift, D error, d error)``: the
-    guard's residual, and the largest deviation of ``Delta_k = M^{-1} a_x(z)``
-    and ``delta_k`` from fresh solves, relative to ``max |Delta(z)|`` and
-    ``max(p_bar)``.  The errors are taken on the spot, so that no rung is kept."""
-    rungs = []
-    drift = comonotonic._drift
-
-    def recorded(net, z, held, Minv, d, c):
-        D_ref, d_ref = delta_matrix(net, z), delta_vector(net, z)
-        D_err = np.max(np.abs(Minv * _external_share(net, z) - D_ref)) / np.max(np.abs(D_ref))
-        d_err = np.max(np.abs(d - d_ref)) / net.p_bar.max()
-        rungs.append((z.copy(), drift(net, z, held, Minv, d, c), D_err, d_err))
-        return rungs[-1][1]
-
-    monkeypatch.setattr(comonotonic, "_drift", recorded)
-    return rungs
+    n = net.n
+    z = np.zeros(n, dtype=bool)
+    q_star, picks = np.empty(n), []
+    EV, EE = np.zeros(n), np.zeros(n)
+    q_prev = math.inf
+    for k in range(n + 1):
+        D, d = dense_map(net, z)
+        q_k = 0.0
+        if k < n:
+            rest = np.flatnonzero(~z)
+            a, b, target = (D @ shift)[rest], (D @ slope)[rest], d[rest]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sups = np.where(a >= target, 0.0, np.where(b <= 0.0, np.inf, (target - a) / b))
+            picks.append(int(rest[np.argmax(sups)]))
+            q_k = min(q_prev, float(sups.max()))
+        if q_k < q_prev:
+            (p_lo, m_lo), (p_hi, m_hi) = tails(q_k), tails(q_prev)
+            prob = p_lo - p_hi
+            EV += D @ (shift * prob + slope * (m_lo - m_hi)) - d * prob
+        if k == n:
+            break
+        EE[order[k]] = EV[order[k]]
+        q_star[order[k]] = q_k
+        z[order[k]] = True
+        q_prev = q_k
+    return q_star, picks, EV, EE
 
 
 @pytest.mark.parametrize("n, kind", sorted(SWEEP_ORDERS))
-def test_rank_two_sweep_matches_fresh_solves(monkeypatch, n, kind):
+def test_rank_two_sweep_matches_fresh_solves(n, kind):
+    # each default changes one row and one column of M(z), a rank-two change
+    # that the sweep absorbs by bordering the coupled block
     net, model = sweep_case(n, kind)
-    inversions = _count_inversions(monkeypatch)
-    rungs = _record_rungs(monkeypatch)
-    th = solvency_thresholds(net, model)
-    order = hashlib.sha256(th.order.astype("<i8").tobytes()).hexdigest()
-    assert order == SWEEP_ORDERS[(n, kind)], list(th.order)
-    assert len(inversions) == 1  # the drift guard never fired
-    assert len(rungs) == n + 1
-    z = np.zeros(n, dtype=bool)
-    for k, (z_k, residual, D_err, d_err) in enumerate(rungs):
-        assert np.array_equal(z_k, z), k
-        assert residual <= comonotonic.DRIFT_TOL, k
-        assert D_err <= 1e-12, k
-        assert d_err <= 1e-12, k
-        if k < n:
-            z[th.order[k]] = True
-
-
-def test_drift_guard_sees_error_off_the_intercept():
-    # an error in M^{-1} that leaves delta = M^{-1} c exact still corrupts
-    # the ladder matrix; the residual on the ones vector must catch it
-    net, _ = sweep_case(30, "gamma")
-    z = np.zeros(net.n, dtype=bool)
-    z[::3] = True
-    c = _intercept_rhs(net, z)
-    d = delta_vector(net, z)
-    Minv = delta_matrix(net, z) / _external_share(net, z)
-    held = net.Gamma.any(axis=1)
-    assert comonotonic._drift(net, z, held, Minv, d, c) <= comonotonic.DRIFT_TOL
-    Minv[:, 0] += 1e-9
-    assert comonotonic._drift(net, z, held, Minv, d, c) > comonotonic.DRIFT_TOL
-
-
-def test_drift_guard_reinverts(monkeypatch):
-    net, model = sweep_case(30, "gamma")
-    reference = expected_values(net, model)
-    monkeypatch.setattr(comonotonic, "DRIFT_TOL", -1.0)
-    inversions = _count_inversions(monkeypatch)
     ev = expected_values(net, model)
     th = ev.thresholds
-    assert len(inversions) == net.n + 2  # the first inverse, then one per step
-    z = np.zeros(net.n, dtype=bool)
-    for k in range(net.n + 1):
-        assert np.array_equal(inversions[k + 1], z)
-        if k < net.n:
-            z[th.order[k]] = True
-    assert list(th.order) == list(reference.thresholds.order)
-    assert np.allclose(th.q_star, reference.thresholds.q_star, rtol=1e-12, atol=0.0)
-    assert np.allclose(ev.pd, reference.pd, rtol=0.0, atol=1e-12)
-    for field in ("EV", "Ep", "EE"):
-        atol = 1e-12 * net.p_bar.max()
-        assert np.allclose(getattr(ev, field), getattr(reference, field), rtol=0.0, atol=atol)
+    order = hashlib.sha256(th.order.astype("<i8").tobytes()).hexdigest()
+    assert order == SWEEP_ORDERS[(n, kind)], list(th.order)
+    q_star, picks, EV, EE = _rung_reference(net, model, th.order)
+    assert picks == th.order.tolist()
+    finite = np.isfinite(q_star)
+    assert np.array_equal(finite, np.isfinite(th.q_star))
+    assert np.all(np.abs(th.q_star - q_star)[finite] <= 1e-12 * q_star[finite])
+    atol = 1e-12 * net.p_bar.max()
+    assert np.max(np.abs(ev.EV - EV)) <= atol
+    assert np.max(np.abs(ev.EE - EE)) <= atol
+
+
+@pytest.mark.parametrize("s", [0.0, -1e-3, math.nan, math.inf])
+def test_sweep_pivot_must_be_finite_and_positive(s):
+    # a pivot of the bordered block that is not finite and positive means a
+    # broken invariant; the sweep raises rather than return an inf
+    with pytest.raises(RuntimeError, match="internal invariant violation"):
+        _pivot(s)
 
 
 def test_expected_values_memory_stays_bounded():
@@ -725,36 +710,37 @@ def _pinned_models():
 # ("pe", law, map) -> (prob, pe) on [0.3, 0.95), [0, inf), [0.8, inf);
 # ("capm", net, alpha, side) -> price, cap with per-bank beta.  The lognormal
 # tabulated-map entries come from the quadrature in log q, which keeps the
-# unbounded top interval
+# unbounded top interval; the "ev" and "capm" entries were taken again when the
+# sweep moved to the bordered coupled block, which moves their last bits
 PARENT_VALUES = {
     ('ev', 'lognormal-mixed', 1.0): [
         [2, 0, 3, 1],
         [0.7264921588885174, 0.315721169464274, 0.735520152478178, 0.5689900586829311],
-        [-0.4611820941813657, 0.4248755594560328, -0.29585871663870594, 0.6787984337633822],
-        [2.139044335490406, 1.7766421635372922, 1.7668530859784304, 1.2394806484252476],
-        [0.09977357032822852, 0.5482333959187407, 0.2372881973828636, 1.0393177853381346],
+        [-0.4611820941813657, 0.42487555945603295, -0.2958587166387059, 0.6787984337633822],
+        [2.139044335490406, 1.7766421635372924, 1.7668530859784304, 1.2394806484252476],
+        [0.09977357032822852, 0.5482333959187408, 0.2372881973828636, 1.0393177853381346],
         [1.3053766214486866, 0.5646369800474863, 1.3333333333139308, 0.9367185860315828],
     ],
     ('ev', 'lognormal-mixed', 0.7): [
         [2, 0, 3, 1],
         [0.7264921588885174, 0.48389724317258476, 0.735520152478178, 0.6703758046665932],
-        [-1.0583016771208749, -0.011212646698644968, -0.7590810565976998, 0.2725283357253727],
-        [1.5419247525508968, 1.453548970539759, 1.3036307460194365, 0.8699552201744221],
-        [0.09977357032822852, 0.4352383827615961, 0.2372881973828636, 1.0025731155509507],
+        [-1.058301677120875, -0.011212646698644912, -0.7590810565976998, 0.2725283357253727],
+        [1.5419247525508966, 1.4535489705397593, 1.3036307460194365, 0.8699552201744221],
+        [0.09977357032822852, 0.43523838276159604, 0.2372881973828636, 1.0025731155509507],
         [1.3053766214486866, 0.7935219917619876, 1.3333333333139308, 1.152068775921868],
     ],
     ('ev', 'lognormal-power', 1.0): [
         [2, 1, 0, 3],
         [0.6105202859906919, 0.6320701033992062, 0.7896268902564243, 0.16656818425955788],
-        [-0.14482891876448362, -0.09171931802331779, -0.2338571343690986, 0.4342388236396908],
+        [-0.14482891876448362, -0.09171931802331779, -0.23385713436909866, 0.4342388236396909],
         [2.3598883924377447, 1.4515493568821165, 1.3303531795454182, 1.5682957322097573],
-        [0.195282688797772, 0.35673132509456584, 0.735789686085483, 0.46594309142993356],
+        [0.195282688797772, 0.35673132509456584, 0.735789686085483, 0.4659430914299337],
         [1.0175626205872843, 1.0632213181482069, 1.5275252316496335, 0.3868698684593147],
     ],
     ('ev', 'lognormal-power', 0.7): [
         [2, 1, 0, 3],
         [0.6721949204195069, 0.6721949204195069, 0.7896268902564243, 0.4269298791816615],
-        [-0.7392085937276878, -0.4947851993183123, -0.6108271296611176, 0.02407483332267013],
+        [-0.7392085937276878, -0.49478519931831233, -0.6108271296611176, 0.024074833322670075],
         [1.7689500203395978, 1.0656875540432877, 0.9533831842533993, 1.2996127716278063],
         [0.19184138593271458, 0.33952724663840006, 0.735789686085483, 0.32446206169486386],
         [1.1565671536147146, 1.1565671536147146, 1.5275252316496335, 0.7098670728417854],
@@ -770,25 +756,25 @@ PARENT_VALUES = {
     ('ev', 'pointmass-affine', 0.7): [
         [2, 0, 1, 3],
         [0.8, 0.4, 0.8, 0.4],
-        [-0.9409837970498331, 0.2733290496958868, -0.9216840777125972, 0.3830476982305553],
-        [1.6210162029501671, 1.5052382284398482, 1.3323159222874026, 1.3008332054769323],
+        [-0.9409837970498331, 0.2733290496958869, -0.921684077712597, 0.3830476982305553],
+        [1.6210162029501671, 1.5052382284398482, 1.3323159222874028, 1.3008332054769323],
         [0.13799999999999996, 0.6680908212560388, 0.04600000000000004, 0.6822144927536231],
         [1.2727272727272725, 0.8069570586873183, 1.5714285714285714, 0.7376618904684826],
     ],
     ('ev', 'uniform-affine', 1.0): [
         [2, 0, 1, 3],
         [1.0, 0.6762642148560367, 1.0, 0.5635076737541816],
-        [-1.1752380813527936, -0.48216685479457877, -1.0166130488944287, -0.224347729147306],
-        [1.5247619186472066, 1.313205492905271, 1.283386951105571, 1.19659520870272],
-        [0.0, 0.10462765230015042, 0.0, 0.17905706214997402],
+        [-1.1752380813527936, -0.48216685479457844, -1.0166130488944287, -0.22434772914730597],
+        [1.5247619186472066, 1.3132054929052712, 1.283386951105571, 1.19659520870272],
+        [0.0, 0.10462765230015053, 0.0, 0.17905706214997405],
         [1.2727272727272725, 0.6762642148560367, 1.5714285714285714, 0.5635076737541816],
     ],
     ('ev', 'uniform-affine', 0.7): [
         [2, 0, 1, 3],
         [1.0, 0.8069570586873183, 1.0, 0.7376618904684826],
-        [-1.8170737727461297, -0.966378122103623, -1.5393725149686173, -0.6884213448085647],
-        [0.8829262272538705, 0.8986363419381875, 0.7606274850313826, 0.8442731669769341],
-        [0.0, 0.034985535958189595, 0.0, 0.06730548821450134],
+        [-1.8170737727461297, -0.9663781221036227, -1.5393725149686173, -0.6884213448085645],
+        [0.8829262272538705, 0.8986363419381878, 0.7606274850313826, 0.8442731669769342],
+        [0.0, 0.034985535958189595, 0.0, 0.06730548821450136],
         [1.2727272727272725, 0.8069570586873183, 1.5714285714285714, 0.7376618904684826],
     ],
     ('pe', 'lognormal', 'affine'): [
@@ -837,23 +823,23 @@ PARENT_VALUES = {
         [0.19999999999999996, 0.24646137781896818],
     ],
     ('capm', 'two', 1.0, 'lower'): [
-        [0.49196733290695827, 0.6935048159735865],
+        [0.4919673329069584, 0.6935048159735864],
         [0.16084111885117508, 3.2827424345071914],
     ],
     ('capm', 'two', 1.0, 'upper'): [
-        [0.5327511595522942, 0.777556082054912],
+        [0.5327511595522942, 0.7775560820549119],
         [0.005156650641792348, 3.0639216245365897],
     ],
     ('capm', 'two', 0.6, 'lower'): [
-        [0.27423469005622064, 0.4435236200481431],
+        [0.2742346900562206, 0.4435236200481429],
         [0.16084111885117508, 2.6617132680103786],
     ],
     ('capm', 'two', 0.6, 'upper'): [
-        [0.2700671144951222, 0.48869844793945744],
+        [0.27006711449512205, 0.4886984479394572],
         [0.005156650641792348, 2.2795160086977946],
     ],
     ('capm', 'four', 1.0, 'lower'): [
-        [0.8851748347845813, 0.9042227930349719, 0.7851791710055377, 0.8729172771329025],
+        [0.8851748347845813, 0.9042227930349721, 0.7851791710055377, 0.8729172771329025],
         [1.6700508850019418, 3.205671179607071, 1.5016273172383252, 3.1355434591951408],
     ],
     ('capm', 'four', 1.0, 'upper'): [
