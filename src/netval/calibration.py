@@ -388,7 +388,7 @@ def ratio_via_assets(net: FinancialNetwork, d, q0: float = 1.0, b=None) -> np.nd
     bad = np.nonzero(s < 0.0)[0]
     if bad.size:
         raise CalibrationError(
-            f"bank {bad[0]}: ratio {d[bad[0]]} requires negative investment"
+            f"bank {bad[0] + 1}: ratio {d[bad[0]]} requires negative investment"
         )
     return s
 

@@ -18,6 +18,8 @@ from .network import FinancialNetwork
 # Wealths within this band of zero are classified as solvent, preventing
 # round-off oscillation of the default indicator.
 ZERO_TOL = 1e-12
+# Doubles in g |T| n for one stacked chunk of g |T|-bank blocks: 8 MiB at any batch size.
+STACK_DOUBLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -112,24 +114,31 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
 
     The kernel is banks-major, one column per path, so each round's default test, pattern
     packing and the final clip run along the long, contiguous path axis.  Every column starts
-    from the no-default wealths and adds each bank with ``V < -ZERO_TOL`` to its default set
-    until no set changes.  Sets only grow, so there are at most ``n + 1`` rounds; ``rounds``
-    counts the affine solves the slowest column went through.  Each round the changed columns
-    are keyed by default pattern, packed little-endian down the bank axis into ``ceil(n/64)``
-    uint64 words; one stable ``lexsort`` brings equal keys together with columns in ascending
-    order, and groups are cut where the sorted key changes.  Each group solves only the
-    coupled block of its pattern (``_coupled``) for ``R = a_x X - c``: by one LU with its
-    columns as right-hand sides if it has at most ``|T|`` columns, else by one product with
-    ``A^{-1}``; then ``V = R + K[:, T] V_T``.  Nothing is kept.
+    from the empty default set and adds each bank with ``V < -ZERO_TOL`` to it until no set
+    changes; sets only grow, so ``rounds``, the affine solves of the slowest column, is at
+    most ``n + 1``.  After the first round the changed columns are keyed by default pattern,
+    packed little-endian into ``ceil(n/64)`` uint64 words, and grouped by one stable
+    ``lexsort``.  Each column solves only the coupled block of its pattern (``_coupled``)
+    for ``R = a_x X - c``.  A group, such as the first round's one of every column, factors
+    its block once: one LU with its columns as right-hand sides if it has at most ``|T|``
+    columns, else one product with ``A^{-1}``.  Columns alone in their pattern are bucketed
+    by ``|T|``, one stacked LAPACK call per chunk in sorted-key order, so a column's bits
+    do not depend on its place in the batch.  Nothing is kept between rounds.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
     n, m = X.shape
     held = net.Gamma.any(axis=1)
+    Pi_p = net.Pi.T @ net.p_bar
 
-    def wealths(z, Xg):
-        R = Xg * _external_share(net, z)[:, None]
-        R -= _intercept_rhs(net, z)[:, None]
+    def rhs(Zc, Xc):
+        # R = a_x(z) X - c(z) per column, c(z) = p_bar - b(z) Pi^T p_bar as in _intercept_rhs
+        R = Xc * _external_share(net, Zc)
+        R -= net.p_bar[:, None] - (1.0 - (1.0 - net.alpha_L) * Zc) * Pi_p[:, None]
+        return R
+
+    def group(z, Xg):
+        R = rhs(z[:, None], Xg)
         T, KT = _coupled(net, z, held)
         A = np.eye(T.size) - KT[:, T].T
         if Xg.shape[1] <= T.size:  # LAPACK's solve pays per right-hand side
@@ -138,25 +147,54 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
             R += KT.T @ (_solve(A, np.eye(T.size)) @ R[T])
         return R
 
-    Z = np.zeros((n, m), dtype=bool)
-    V = wealths(np.zeros(n, dtype=bool), X)
-    rounds = 1
+    def stacked(c, t):
+        # lone columns with t coupled banks: A = I - b_T S[T, T]^T and V = R + b (Y S)^T,
+        # S = Pi on defaulting and Gamma on held solvent rows, Y = V_T scattered to (g, n)
+        Zc = Z[:, c]
+        R = rhs(Zc, X[:, c])
+        T = np.nonzero((Zc | held[:, None]).T)[1].reshape(c.size, t)
+        rows = np.arange(c.size)[:, None]
+        zT = Zc.T[rows, T]
+        A = net.Pi[T[:, None, :], T[:, :, None]]
+        if held.any():
+            A = np.where(zT[:, None, :], A, net.Gamma[T[:, None, :], T[:, :, None]])
+        A *= -(1.0 - (1.0 - net.alpha_L) * zT)[:, :, None]
+        A.reshape(c.size, -1)[:, :: t + 1] += 1.0
+        y = _solve(A, R.T[rows, T, None])[..., 0]
+        Y = np.zeros((c.size, n))
+        Y[rows, T] = np.where(zT, y, 0.0)
+        W = Y @ net.Pi
+        if held.any():
+            Y[rows, T] = np.where(zT, 0.0, y)
+            W += Y @ net.Gamma
+        R += (1.0 - (1.0 - net.alpha_L) * Zc) * W.T
+        return R
 
-    for _ in range(n + 1):
+    # the first round has one pattern, the empty default set, for every column
+    Z = np.zeros((n, m), dtype=bool)
+    V = group(np.zeros(n, dtype=bool), X)
+    for rounds in range(1, n + 2):
         new = (V < -ZERO_TOL) & ~Z
-        changed = np.logical_or.reduce(new, axis=0)
-        if not changed.any():
+        idx = np.flatnonzero(np.logical_or.reduce(new, axis=0))
+        if not idx.size:
             break
         Z |= new
-        rounds += 1
-        idx = np.flatnonzero(changed)
         keys = np.zeros((idx.size, 8 * -(-n // 64)), dtype=np.uint8)
         keys[:, : -(-n // 8)] = np.packbits(Z[:, idx], axis=0, bitorder="little").T
         keys = keys.view(np.uint64)
         order = np.lexsort(keys.T)
-        cuts = np.flatnonzero(np.any(np.diff(keys[order], axis=0), axis=1)) + 1
-        for cols in np.split(idx[order], cuts):
-            V[:, cols] = wealths(Z[:, cols[0]], X[:, cols])
+        cols, cuts = idx[order], np.any(np.diff(keys[order], axis=0), axis=1)
+        bounds = np.flatnonzero(np.concatenate(([True], cuts, [True])))
+        first, size = bounds[:-1], bounds[1:] - bounds[:-1]
+        for a, k in zip(first[size > 1].tolist(), size[size > 1].tolist()):
+            V[:, cols[a : a + k]] = group(Z[:, cols[a]], X[:, cols[a : a + k]])
+        lone = cols[first[size == 1]]
+        t = (Z[:, lone] | held[:, None]).sum(axis=0)
+        for u in np.flatnonzero(np.bincount(t)).tolist():
+            at = lone[t == u]
+            step = max(1, STACK_DOUBLES // (u * n))
+            for k in range(0, at.size, step):
+                V[:, at[k : k + step]] = stacked(at[k : k + step], u)
 
     p = np.clip(net.p_bar[:, None] - np.maximum(-V, 0.0), 0.0, net.p_bar[:, None])
     E = np.maximum(V, 0.0)

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import appb_p02, appb_p10, dense_map, dense_system, make_cycle, random_net
+from helpers import (
+    appb_p02,
+    appb_p10,
+    dense_map,
+    dense_system,
+    make_cycle,
+    random_net,
+    upper_picard_clearing,
+)
 from netval import (
     AffineMap,
     CapmParams,
@@ -211,7 +219,7 @@ def test_single_is_a_batch_of_one(seed, alpha_x, alpha_L):
             assert np.array_equal(single, row[0])
         assert res.societal_payment == float(net.pi_soc @ one[1][0])
         assert 1 <= res.iterations <= n + 1
-        # alone, a row is one right-hand side of an LU solve; in a batch its
+        # alone, a row is a lone column of a stacked solve; in a batch its
         # group may take several right-hand sides or a product with A^{-1},
         # which sum in another order, so rows agree to round-off, not bits
         for single, rows in zip((res.V, res.p, res.E), (V, p, E)):
@@ -389,7 +397,7 @@ def _copula_3():
     return net, simulate(spec, 20_000, 17).X
 
 
-def _fixture_87():
+def _fixture_87(paths=500):
     # two-word keys and one row per pattern in every round
     fixture = importlib.resources.files("netval") / "data" / "synthetic_sheets_87.csv"
     net, calib = calibrated_network(read_balance_sheets_csv(str(fixture)), 0.5, 0.5, seed=3)
@@ -402,7 +410,7 @@ def _fixture_87():
         gamma=rng.uniform(0.1, 0.4, net.n),
         s=calib.s,
     )
-    return net, simulate({"kind": "capm", "params": params}, 500, 11).X
+    return net, simulate({"kind": "capm", "params": params}, paths, 11).X
 
 
 def _wide(n, seed):
@@ -420,9 +428,9 @@ def _wide(n, seed):
     "make, digest",
     [
         (_copula_3, "df48b7cb2373515e9181354f94ac8812b17e7fb4988d0877484b6066e2d794d1"),
-        (_fixture_87, "b151147bf5959e3bf56570bd84fe54c39c4847106361a434624ad862117adbeb"),
-        (lambda: _wide(64, 10), "9683a557171bcf5847a2ff94cce660dd855bd14f7dd34bf1d80fcf3684bd5282"),
-        (lambda: _wide(65, 6), "5c33abdd1708a007e66255e323ec6e158ba010bc7594050fc5fc5a6f1c478794"),
+        (_fixture_87, "69a7b6b5f9a743cc4f30acbb07ba3fb6277fc88b593febd5ae99383e0954738a"),
+        (lambda: _wide(64, 10), "f3a9b7b2f27f53321aa135ef3de914f49eddb64c1a4c6cb95c6cbf044fd680c7"),
+        (lambda: _wide(65, 6), "9c8a665dd0d052196957e4a817a20ce575f189bd031eda7ff7a3d810fb445e2c"),
     ],
     ids=["copula-3", "fixture-87", "net-64", "net-65"],
 )
@@ -469,9 +477,9 @@ def _small_gamma():
     ids=["fixture-87", "fixture-87-repeated", "net-4-repeated", "net-6-gamma-repeated"],
 )
 def test_batch_matches_own_affine_map(make, sizes):
-    # groups of at most |T| rows (T the coupled banks of the pattern) are
-    # solved directly, larger groups through a product with the inverse of
-    # the coupled block; every row must sit on the affine map of its own
+    # lone rows take stacked solves, groups of at most |T| rows (T the coupled
+    # banks of the pattern) one LU, larger groups a product with the inverse
+    # of the coupled block; every row must sit on the affine map of its own
     # final default pattern, solved here on the dense system
     net, X = make()
     V, _, _, Z = greatest_clearing_batch(net, X)
@@ -520,28 +528,123 @@ def test_kernel_solves_only_coupled_block(monkeypatch):
     greatest_clearing_batch(net, 2.0 * np.tile(net.p_bar, (5, 1)))
     assert systems == []
 
-    # each row alone: one system per round after the first, of the size of
-    # the round's default set, which only grows and stays below n
+    # each row alone is a lone column: one stacked call of a single block per
+    # round after the first, of the size of the round's default set, which
+    # only grows and stays below n
     for x in X[:12]:
         systems.clear()
         res = greatest_clearing(net, x)
-        sizes = [A.shape[0] for A, _ in systems]
+        sizes = [A.shape[1] for A, _ in systems]
         assert len(sizes) == res.iterations - 1
         assert sizes == sorted(set(sizes)) and sizes[-1] < net.n
         assert sizes[-1] == greatest_clearing_batch(net, x[None, :])[3].sum()
-        assert all(shape == (size, 1) for size, (_, shape) in zip(sizes, systems))
+        for size, (A, shape) in zip(sizes, systems):
+            assert A.shape == (1, size, size) and shape == (1, size, 1)
 
-    # under cross-holdings the held banks 0 and 2 are coupled in every round,
-    # and the last system is the dense one restricted to them and the defaults
+    # under cross-holdings the held banks 0 and 2 are coupled in every round:
+    # the first round is one group of every column, later rounds stack the
+    # lone row, and the last system is the dense one restricted to the held
+    # banks and the defaults
     net, X = _small_gamma()
+    stacked = 0
     for x in (2.0 * net.p_bar, *X):
         systems.clear()
         Z = greatest_clearing_batch(net, x[None, :])[3][0].astype(bool)
         T = np.flatnonzero(Z | np.isin(np.arange(net.n), [0, 2]))
-        assert systems[0][0].shape == (2, 2)
+        assert systems[0][0].shape == (2, 2) and systems[0][1] == (2, 1)
+        stacked += len(systems) - 1
+        for A, shape in systems[1:]:
+            assert A.shape == (1, shape[1], shape[1]) and shape[2] == 1
         assert np.allclose(
-            systems[-1][0], dense_system(net, Z)[np.ix_(T, T)], rtol=0.0, atol=1e-15
+            systems[-1][0].reshape(T.size, T.size),
+            dense_system(net, Z)[np.ix_(T, T)],
+            rtol=0.0,
+            atol=1e-15,
         )
+    assert stacked > 0
+
+
+def _lone_and_grouped():
+    # rows 100-499 are each alone in their pattern and take the stacked solves;
+    # rows 0-99, three times each, share every pattern and take the group path
+    net, X = _fixture_87()
+    return net, np.concatenate([X[100:], np.repeat(X[:100], 3, axis=0)])
+
+
+def test_lone_and_grouped_columns_match_picard_oracle(monkeypatch):
+    systems = _record_solves(monkeypatch)
+    net, X = _lone_and_grouped()
+    V, _, _, Z = greatest_clearing_batch(net, X)
+    assert {A.ndim for A, _ in systems} == {2, 3}
+    scale = float(net.p_bar.max())
+    for x, v, z in zip(X, V, Z):
+        W = upper_picard_clearing(net, x)
+        assert np.array_equal(z, (W < -ZERO_TOL).astype(int))
+        assert np.max(np.abs(v - W)) <= 1e-9 * scale
+
+
+def _gamma_net(rng, n):
+    # partial recovery, and about half of the cross-holdings zero
+    Gamma = rng.uniform(0.0, 0.9 / n, (n, n))
+    Gamma[rng.random((n, n)) < 0.5] = 0.0
+    np.fill_diagonal(Gamma, 0.0)
+    return build_network(random_net(rng, n=n).L, 0.7, 0.5, Gamma=Gamma)
+
+
+def test_lone_column_matches_its_group_under_cross_holdings():
+    # a row alone takes the stacked solve, the same row twice the group path
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        net = _gamma_net(rng, int(rng.integers(3, 7)))
+        tol = 1e-12 * float(net.p_bar.max())
+        for x in rng.uniform(0.0, 1.2, (20, net.n)) * net.p_bar:
+            alone = greatest_clearing_batch(net, x[None, :])
+            twice = greatest_clearing_batch(net, np.stack([x, x]))
+            assert np.array_equal(alone[3][0], twice[3][0])
+            assert np.array_equal(twice[3][0], twice[3][1])
+            assert np.max(np.abs(alone[0][0] - twice[0][0])) <= tol
+
+
+def test_column_order_invariance():
+    # permuting a batch's rows permutes V, p, E and Z bit for bit: lone columns
+    # are chunked in pattern-key order, and a group's columns are right-hand
+    # sides of one factorization
+    rng = np.random.default_rng(8)
+    cases = [_fixture_87(3000)]
+    for k in range(30):
+        n = int(rng.integers(2, 7))
+        net = _gamma_net(rng, n) if k % 2 else random_net(rng, n=n, alpha=0.5)
+        cases.append((net, rng.uniform(0.0, 1.5, (4000, n)) * net.p_bar))
+    for net, X in cases:
+        perm = rng.permutation(X.shape[0])
+        for a, b in zip(greatest_clearing_batch(net, X), greatest_clearing_batch(net, X[perm])):
+            assert np.array_equal(a[perm], b)
+
+
+@pytest.mark.parametrize("paths", [10_000, 40_000])
+def test_batch_memory_bounded_at_scale(monkeypatch, paths):
+    # beyond X's banks-major copy and the four outputs the kernel holds its
+    # boolean default sets (n m bytes each) and one stacked chunk of at most
+    # 2**20 doubles in g t n: uncapped, 40k paths bring 513 lone columns with
+    # 77-bank blocks into one call, 23 MiB for the blocks alone
+    net, X = _fixture_87(paths)
+    chunks = []
+    solve = clearing._solve
+
+    def recorded(A, B):
+        chunks.append(A.shape[0] * A.shape[1] * net.n if A.ndim == 3 else 0)
+        return solve(A, B)
+
+    monkeypatch.setattr(clearing, "_solve", recorded)
+    tracemalloc.start()
+    try:
+        greatest_clearing_batch(net, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < max(chunks) <= 2**20
+    # measured: 1.7 MiB at 10k paths and 6.6 MiB at 40k
+    assert peak - 5 * X.nbytes < 16 * 2**20
 
 
 def _sheets_8(seed):

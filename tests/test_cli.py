@@ -278,6 +278,17 @@ def test_statics_ratio_sweeps_the_named_bank(two_bank_csv, beta1_params, capsys)
                 assert got == [*want.tolist(), float(np.median(want))], metric
 
 
+def test_statics_ratio_names_the_infeasible_bank_from_one(two_bank_csv, beta1_params, capsys):
+    # bank 2's own ratio of 0.9 needs a negative investment; banks are numbered from 1
+    argv = ["statics", two_bank_csv, beta1_params, "--sweep", "ratio", "--bank", "2"]
+    assert cli.main(argv + ["--grid", "0.5,0.7,0.9"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "domain"
+    assert err["message"] == "bank 2: ratio 0.9 requires negative investment"
+
+
 def test_simulate_and_mc(tmp_path, two_bank_csv, bench_model):
     scenario = tmp_path / "scen.json"
     scenario.write_text(
