@@ -117,8 +117,8 @@ def comonotonic_lower(net: FinancialNetwork, marg: MarginalSet) -> BoundResult:
     """Expected clearing values under the comonotonic coupling Z = F^{-1}(U).
 
     Finite marginals are enumerated exactly over the breakpoints of U;
-    all-lognormal marginals reduce to a lognormal single-factor ladder;
-    anything else runs the uniform-factor ladder with quadrature.
+    all-lognormal marginals reduce to a lognormal single-factor threshold
+    sweep; anything else runs the uniform-factor sweep with quadrature.
     """
     _require_full_recovery(net)
     if marg.n != net.n:

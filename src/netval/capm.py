@@ -144,7 +144,7 @@ def _require_full_recovery(net: FinancialNetwork, force: bool):
     if not net.full_recovery and not force:
         raise PricingError(
             "price bounds hold only under full recovery (alpha_x = alpha_L = 1); "
-            "pass force=True to evaluate the ladder closed form anyway "
+            "pass force=True to evaluate the closed form anyway "
             "(no bound guarantee)"
         )
 

@@ -418,56 +418,52 @@ class SolvencyThresholds:
     order: np.ndarray
 
 
-def _sup_insolvent_bisect(g, target: np.ndarray, hint: float, cap) -> np.ndarray:
-    """sup{q in [0, cap] : g_i(q) < target_i} for every bank ``i`` at once.
+def _next_default(g, target: np.ndarray, hint: float, cap) -> tuple[float, int]:
+    """The largest ``sup{q in [0, cap] : g_i(q) < target_i}`` and its bank ``i``.
 
-    ``g(q, sel)`` evaluates the nondecreasing continuous ``g_i`` of the
-    banks ``sel`` at their own factor values ``q``.  Each bank follows the
-    scalar bracket-and-bisect steps: brackets double from ``hint`` in
-    lockstep, and each bank bisects until its own bracket is below
-    ``BISECT_REL_TOL``.  ``cap`` bounds the factor's support (quantile maps
-    of a uniform factor cannot be evaluated past 1); an uncapped search
-    that never brackets gives inf.
+    ``g(q)`` evaluates the nondecreasing continuous ``g_i`` of every bank
+    at one factor value.  One scalar search finds where the most fragile
+    bank turns solvent: the bracket doubles from ``hint``, then bisection
+    of ``[0, hi]`` runs until the bracket is below ``BISECT_REL_TOL``; the
+    bank is the lowest index still insolvent at the bracket's lower end.
+    Only banks insolvent at 0 count (the others' supremum is 0).  ``cap``
+    bounds the factor's support (quantile maps of a uniform factor cannot
+    be evaluated past 1); an uncapped search that never brackets gives inf.
     """
-    r = target.size
-    sup = np.zeros(r)
     top = np.inf if cap is None else cap
-    probe = g if cap is None else (lambda q, sel: g(np.minimum(q, cap - 1e-13), sel))
-    todo = np.flatnonzero(g(np.zeros(r), np.arange(r)) < target)
+    probe = g if cap is None else (lambda q: g(min(q, cap - 1e-13)))
+    insolvent = g(0.0) < target
+    low = np.flatnonzero(insolvent)
+    if not low.size:
+        return 0.0, 0
+    target = np.where(insolvent, target, -np.inf)
     h = min(hint if np.isfinite(hint) and hint > 0.0 else 1.0, top)
-    hi = np.full(r, h)
-    g_todo = probe(hi[todo], todo)
-    keep = g_todo < target[todo]
-    bisect, todo, g_todo = todo[~keep], todo[keep], g_todo[keep]
+    g_hi = probe(h)
+    todo = np.flatnonzero(g_hi < target)
     expansions = 0
     while todo.size:
         if h >= top:
-            sup[todo] = top
-            break
+            return top, int(todo[0])
         h = min(h * 2.0, top)
-        g_new = probe(np.full(todo.size, h), todo)
-        if np.any(g_new < g_todo - 1e-12 * np.maximum(1.0, np.abs(g_todo))):
+        g_new = probe(h)
+        if np.any(g_new[todo] < g_hi[todo] - 1e-12 * np.maximum(1.0, np.abs(g_hi[todo]))):
             raise ModelError("endowment map decreased during bracketing")
         expansions += 1
         if expansions > 200:
-            sup[todo] = np.inf
-            break
-        hi[todo] = h
-        keep = g_new < target[todo]
-        bisect = np.concatenate((bisect, todo[~keep]))
-        todo, g_todo = todo[keep], g_new[keep]
-    lo = np.zeros(r)
-    act = bisect
+            return np.inf, int(todo[0])
+        g_hi = g_new
+        todo = todo[g_new[todo] < target[todo]]
+    lo, hi = 0.0, h
     for _ in range(BISECT_MAX_ITER):
-        act = act[hi[act] - lo[act] > BISECT_REL_TOL * np.maximum(hi[act], 1.0)]
-        if not act.size:
+        if hi - lo <= BISECT_REL_TOL * max(hi, 1.0):
             break
-        mid = 0.5 * (lo[act] + hi[act])
-        below = probe(mid, act) < target[act]
-        lo[act[below]] = mid[below]
-        hi[act[~below]] = mid[~below]
-    sup[bisect] = 0.5 * (lo[bisect] + hi[bisect])
-    return sup
+        mid = 0.5 * (lo + hi)
+        below = np.flatnonzero(probe(mid) < target)
+        if below.size:
+            lo, low = mid, below
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), int(low[0])
 
 
 def _pivot(s: float) -> float:
@@ -487,8 +483,8 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     threshold handles defaults triggered jointly by a predecessor's
     failure.  Maps affine in ``u = q**c`` (affine or power maps with
     exponents in ``{0, c}``) give the candidates as closed-form roots in
-    ``u``, mapped back by ``u**(1/c)``; otherwise all still-solvent banks
-    are bisected together.
+    ``u``, mapped back by ``u**(1/c)``; otherwise one scalar search
+    (``_next_default``) finds the largest candidate and its bank.
 
     The sweep carries only ``A^{-1}``, the inverse of the coupled block
     ``A = I - K[T, T]`` of ``M(z)`` (``clearing._coupled``), and applies
@@ -552,21 +548,16 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
                     sups = np.where(a >= target, 0.0, np.where(b <= 0.0, np.inf, (target - a) / b))
                     if power != 1.0:
                         sups = sups ** (1.0 / power)
+                at = int(np.argmax(sups))
+                sup = float(sups[at])
             else:
-                # rows of Delta_k: I[remaining] plus K[remaining, T] A^{-1} on columns T
-                rows = np.zeros((remaining.size, n))
-                rows[np.arange(remaining.size), remaining] = 1.0
-                rows[:, Tm] += KTm[:, remaining].T @ Bm
-                rows *= a_x
+                def g(q):
+                    r = a_x * model.endowments(q)
+                    return (r + KTm.T @ (Bm @ r[Tm]))[remaining]
 
-                def g(q, sel, rows=rows):
-                    X = model.endowments(q)
-                    return (rows[sel][:, None, :] @ X[:, :, None])[:, 0, 0]
-
-                sups = _sup_insolvent_bisect(g, target, q_prev, cap)
-            at = int(np.argmax(sups))
+                sup, at = _next_default(g, target, q_prev, cap)
             pick = int(remaining[at])
-            q_k = min(q_prev, float(sups[at]))
+            q_k = min(q_prev, sup)
         if moments is not None and q_k < q_prev:
             prob, pe = moments(q_k, q_prev)
             r = a_x * pe

@@ -146,9 +146,10 @@ def _no_bisection(*args, **kwargs):
 
 def _assert_power_affine_path_matches_bisection(net, model, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(comonotonic, "_sup_insolvent_bisect", _no_bisection)
+        m.setattr(comonotonic, "_next_default", _no_bisection)
         fast = solvency_thresholds(net, model)
-    # wrapping each map hides its parameters, so this sweep bisects
+    # wrapping each map hides its parameters, so this sweep takes the
+    # scalar search (_next_default)
     wrapped = FactorModel([lambda q, f=f: f(q) for f in model.f], model.dist)
     slow = solvency_thresholds(net, wrapped)
     assert np.array_equal(fast.order, slow.order)
@@ -184,15 +185,15 @@ def test_power_affine_path_matches_bisection(two_bank, monkeypatch):
     model = FactorModel(maps, LogNormal(0.0, 1.0))
     _assert_power_affine_path_matches_bisection(two_bank, model, monkeypatch)
     with monkeypatch.context() as m:
-        m.setattr(comonotonic, "_sup_insolvent_bisect", _no_bisection)
+        m.setattr(comonotonic, "_next_default", _no_bisection)
         lo = comonotonic_lower(two_bank, marg)
-    # with the map parameters hidden from the sweep it bisects, while the
+    # with the map parameters hidden the sweep takes the scalar search, while the
     # interval moments keep the power maps' closed form
     bisected = FactorModel(model.f, model.dist)
     object.__setattr__(bisected, "_params", None)
-    bisect, calls = comonotonic._sup_insolvent_bisect, []
+    search, calls = comonotonic._next_default, []
     with monkeypatch.context() as m:
-        m.setattr(comonotonic, "_sup_insolvent_bisect", lambda *a: calls.append(a) or bisect(*a))
+        m.setattr(comonotonic, "_next_default", lambda *a: calls.append(a) or search(*a))
         ref = expected_values(two_bank, bisected)
     assert len(calls) == two_bank.n
     assert np.allclose(lo.Ep, ref.Ep, rtol=0.0, atol=1e-8 * two_bank.p_bar.max())

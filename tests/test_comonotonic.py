@@ -448,24 +448,96 @@ def test_thresholds_match_upper_picard_under_cross_holdings(alpha_x, alpha_L):
 
 
 # ---------------------------------------------------------------------------
-# bank-vectorized bisection
+# scalar search of the non-affine sweep
+
+# sha256 of order, q_star, EV and EE per case, from a bisection of every
+# still-solvent bank at its own factor value
+BISECTION_PINS = {
+    "n=10": (
+        "a2c96cb52798917939b74d3b8d11763c2238e40435212f0e7d1a9117a167171e",
+        "d3b783f4de1701d141fa3e7b67b193ac910c318962ad918066e9da37c1fef840",
+        "e8095dd585bd4b8779c2588653f484dca1ef39ffaddc7f92c4cc7f921c49c974",
+        "992df32c00405c4f629c9fe57d522af5b674cea30ab32a37cc522977798dc0ce",
+    ),
+    "capm-87-lower": (
+        "71f66770328c03afa49c4d8121c1a877da46720ef4274f67d710b9b9ef2e5cfa",
+        "79fe84d3304b9581b5715253bc0db6d4decc6285db092f058882d23ce8ff419b",
+        "5039bdb5958275885dfa9300f86eb0e00fa576a41ba7f2f97d1e6e957d7ce88a",
+        "cc09a1a4a639a1312f913a68e9927d637db2b1b29431eb8abc236b4dca911b00",
+    ),
+    "capm-87-upper": (
+        "f88645582cabd120329a26770bc8a1a6844c0c0ad03a9633a4beb36635eff79d",
+        "0c760f7f37d87c8279d1a25f8df43c44cda9b1f2233b9dd1723517ef957f91d8",
+        "e5841b7ced840efff0f5822c17a45646b827de8396b4e8ae1822a34dc4ad7a22",
+        "55af7b2c8e6e611ce908a6fbb904b146c31e1715e9c28b70bb0b65d69a00aa90",
+    ),
+    "gamma-power": (
+        "b321371ffcdc61030e50c0b451f932ce448ad4231545415cd90376ed95f3aa5d",
+        "4a3ef65e36f2c304ed72504db5a2d718c3276cde004949bc44dbcd0e5a1e1d57",
+        "7934b1ce5e82226fbbce184fa7a8fe2ddedfef3bcf272e71414c6ed567ba1bb8",
+        "7decc3aacd4e097ab3d7587861b79aad4efaec3a1c14318905ba22874abd4ccc",
+    ),
+    "tied-tabulated": (
+        "e0d14f2a841e22d47e5f6253c99e90fd22c368c80e7d6033768256374dab8806",
+        "1aa2266006c1b51a4acc6930291237efac3790c6da9d2171e8c43c76ca292f5c",
+        "a256bd078e2fcdb4dedcda09d3907532879183a2988b76a1525c636c57555cb2",
+        "2892c4c66090ab9a9f8749331694bc9cdb5ddeba96cb9f2c54c1f03239b09a1a",
+    ),
+}
 
 
-def test_bisection_thresholds_pinned():
-    # ten calibrated banks with per-bank CAPM power maps, as the closed-form
-    # benchmark's part (b); pinned from a bisection of one bank at a time,
-    # whose bits the joint bisection must keep
-    net, calib = calibrated_network(make_synthetic_sheets(10, seed=7), seed=7)
-    rng = np.random.default_rng(11)
-    params = CapmParams(
-        r=0.02, T=1.0, sigma_M=0.2, beta=rng.uniform(0.5, 1.2, 10),
-        gamma=rng.uniform(0.1, 0.4, 10), s=calib.s,
-    )
-    model = FactorModel(_eta_maps(params.sigma, params), params.factor_dist())
-    th = solvency_thresholds(net, model)
-    assert list(th.order) == [2, 5, 8, 1, 0, 9, 6, 7, 3, 4]
-    digest = hashlib.sha256(th.q_star.tobytes()).hexdigest()
-    assert digest == "d3b783f4de1701d141fa3e7b67b193ac910c318962ad918066e9da37c1fef840"
+def _bisection_case(name):
+    """Models whose maps are not affine in one ``u = q**c``, so the sweep
+    searches: calibrated banks with per-bank CAPM power maps (as the
+    closed-form benchmark's part (b)), a cross-holdings net with partial
+    recovery and per-bank power exponents, and two groups of identical
+    banks under tabulated maps, whose exact ties go to the lowest index."""
+    if name == "n=10" or name.startswith("capm-87-"):
+        n, seed = (10, 7) if name == "n=10" else (87, 1)
+        net, calib = calibrated_network(make_synthetic_sheets(n, seed=seed), seed=seed)
+        rng = np.random.default_rng(11 if n == 10 else 87)
+        params = CapmParams(
+            r=0.02, T=1.0, sigma_M=0.2, beta=rng.uniform(0.5, 1.2, n),
+            gamma=rng.uniform(0.1, 0.4, n), s=calib.s,
+        )
+        z = params.sigma if n == 10 else params.z_vector(name.rsplit("-", 1)[1])
+        return net, FactorModel(_eta_maps(z, params), params.factor_dist())
+    if name == "gamma-power":
+        rng = np.random.default_rng(23)
+        n = 8
+        L = random_net(rng, n).L
+        G = rng.uniform(0.0, 1.0, (n, n))
+        G[rng.random((n, n)) < 0.5] = 0.0
+        np.fill_diagonal(G, 0.0)
+        G *= (rng.uniform(0.1, 0.5, n) / G.sum(axis=1))[:, None]
+        net = build_network(L, 0.9, 0.8, G)
+        coef = rng.uniform(0.2, 1.0, n) * net.p_bar
+        expo = rng.uniform(0.2, 2.5, n)
+        shift = rng.uniform(0.0, 0.2, n) * net.p_bar
+        return net, FactorModel([PowerMap(*a) for a in zip(coef, expo, shift)], LogNormal(0.1, 0.5))
+    L = np.full((6, 7), 0.2)
+    np.fill_diagonal(L, 0.0)
+    L[:, 6] = 1.0
+    low = TabulatedMap([0.0, 0.5, 1.0, 2.0], [0.2, 0.9, 1.3, 2.4])
+    high = TabulatedMap([0.0, 0.8, 1.6, 3.0], [0.1, 0.8, 1.8, 2.7])
+    return build_network(L, 1.0, 0.9), FactorModel([low, high] * 3, LogNormal(0.0, 0.4))
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_PINS))
+def test_bisection_thresholds_pinned(name):
+    # one scalar search per sweep step must keep the bits of bisecting every
+    # still-solvent bank at its own factor value
+    net, model = _bisection_case(name)
+    ev = expected_values(net, model)
+    th = ev.thresholds
+    if name == "n=10":
+        assert list(th.order) == [2, 5, 8, 1, 0, 9, 6, 7, 3, 4]
+    if name == "tied-tabulated":
+        assert list(th.order) == [1, 3, 5, 0, 2, 4]
+        assert np.all(th.q_star[::2] == th.q_star[0]) and np.all(th.q_star[1::2] == th.q_star[1])
+    arrays = (th.order.astype("<i8"), th.q_star, ev.EV, ev.EE)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert digests == BISECTION_PINS[name]
 
 
 def test_lognormal_pd_matches_prob_below():
@@ -511,9 +583,11 @@ def test_factor_model_endowments():
 
 class _RecordingMap(TabulatedMap):
     seen = []
+    shapes = []
 
     def __call__(self, q):
         self.seen.append(float(np.max(q)))
+        self.shapes.append(np.shape(q))
         return super().__call__(q)
 
 
@@ -533,6 +607,22 @@ def test_bisection_respects_uniform_cap():
     assert th.q_star[0] == 1.0
     assert 0.0 < th.q_star[1] < 1.0
     assert max(_RecordingMap.seen) < 1.0
+
+
+def test_bisection_probes_one_factor_value(two_bank):
+    # each probe of the scalar search evaluates every map at one 0-d factor
+    # value, not at one factor value per still-solvent bank
+    knots = [0.0, 0.5, 1.0, 2.0]
+    for dist in (LogNormal(0.0, 1.0), Uniform01()):
+        model = FactorModel(
+            [_RecordingMap(knots, [0.0, 1.5, 3.0, 9.0]), _RecordingMap(knots, [0.0, 2.0, 4.0, 9.0])],
+            dist,
+        )
+        _RecordingMap.shapes.clear()
+        th = solvency_thresholds(two_bank, model)
+        assert np.all((th.q_star > 0.0) & np.isfinite(th.q_star))
+        assert len(_RecordingMap.shapes) > 2 * 20  # both maps, over 20 probes each
+        assert set(_RecordingMap.shapes) == {()}
 
 
 def test_bisection_rejects_map_decreasing_past_grid(two_bank):
