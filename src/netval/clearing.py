@@ -119,11 +119,11 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     most ``n + 1``.  After the first round the changed columns are keyed by default pattern,
     packed little-endian into ``ceil(n/64)`` uint64 words, and grouped by one stable
     ``lexsort``.  Each column solves only the coupled block of its pattern (``_coupled``)
-    for ``R = a_x X - c``.  A group, such as the first round's one of every column, factors
-    its block once: one LU with its columns as right-hand sides if it has at most ``|T|``
-    columns, else one product with ``A^{-1}``.  Columns alone in their pattern are bucketed
-    by ``|T|``, one stacked LAPACK call per chunk in sorted-key order, so a column's bits
-    do not depend on its place in the batch.  Nothing is kept between rounds.
+    for ``R = a_x X - c``, on one of two paths.  The first round's one pattern over every
+    column, and a pattern shared by more columns than its block has rows (``k > |T|``), take
+    one product with ``A^{-1}``.  Every other changed column, alone or in a small group, is
+    bucketed by ``|T|``, one stacked LAPACK call per chunk in sorted-key order, so a column's
+    bits do not depend on its place in the batch.  Nothing is kept between rounds.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
@@ -138,17 +138,15 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
         return R
 
     def group(z, Xg):
+        # the columns of one pattern: one product with A^{-1}, A = I - K[T, T]
         R = rhs(z[:, None], Xg)
         T, KT = _coupled(net, z, held)
-        A = np.eye(T.size) - KT[:, T].T
-        if Xg.shape[1] <= T.size:  # LAPACK's solve pays per right-hand side
-            R += KT.T @ _solve(A, R[T])
-        elif T.size:
-            R += KT.T @ (_solve(A, np.eye(T.size)) @ R[T])
+        if T.size:
+            R += KT.T @ (_solve(np.eye(T.size) - KT[:, T].T, np.eye(T.size)) @ R[T])
         return R
 
     def stacked(c, t):
-        # lone columns with t coupled banks: A = I - b_T S[T, T]^T and V = R + b (Y S)^T,
+        # columns with t coupled banks: A = I - b_T S[T, T]^T and V = R + b (Y S)^T,
         # S = Pi on defaulting and Gamma on held solvent rows, Y = V_T scattered to (g, n)
         Zc = Z[:, c]
         R = rhs(Zc, X[:, c])
@@ -186,12 +184,13 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
         cols, cuts = idx[order], np.any(np.diff(keys[order], axis=0), axis=1)
         bounds = np.flatnonzero(np.concatenate(([True], cuts, [True])))
         first, size = bounds[:-1], bounds[1:] - bounds[:-1]
-        for a, k in zip(first[size > 1].tolist(), size[size > 1].tolist()):
+        t = (Z[:, cols[first]] | held[:, None]).sum(axis=0)
+        for a, k in zip(first[size > t].tolist(), size[size > t].tolist()):
             V[:, cols[a : a + k]] = group(Z[:, cols[a]], X[:, cols[a : a + k]])
-        lone = cols[first[size == 1]]
-        t = (Z[:, lone] | held[:, None]).sum(axis=0)
+        few = np.repeat(size <= t, size)
+        rest, t = cols[few], np.repeat(t, size)[few]
         for u in np.flatnonzero(np.bincount(t)).tolist():
-            at = lone[t == u]
+            at = rest[t == u]
             step = max(1, STACK_DOUBLES // (u * n))
             for k in range(0, at.size, step):
                 V[:, at[k : k + step]] = stacked(at[k : k + step], u)

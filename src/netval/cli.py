@@ -169,9 +169,12 @@ def _require_keys(obj, what: str, required, optional=()):
 def _num(obj: dict, key: str, what: str, default=None) -> float:
     value = obj.get(key, default)
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what}: {key} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise SchemaError(f"{what}: {key} must be a finite number, got {value!r}")
+    return x
 
 
 def _nums(obj: dict, key: str, what: str) -> np.ndarray:
@@ -294,6 +297,8 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise SchemaError(f"{what}: expected comma-separated numbers") from exc
     if not vals:
         raise SchemaError(f"{what}: empty list")
+    if not all(map(math.isfinite, vals)):
+        raise SchemaError(f"{what}: expected finite numbers, got {text!r}")
     return np.asarray(vals)
 
 
@@ -304,8 +309,8 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
 def _cmd_clear(args) -> None:
     net = read_network_csv(args.network)
     x = _parse_floats(args.x, "--x")
-    if x.shape != (net.n,) or np.any(x < 0.0) or not np.all(np.isfinite(x)):
-        raise SchemaError(f"--x: expected {net.n} nonnegative finite endowments, got {args.x!r}")
+    if x.shape != (net.n,) or np.any(x < 0.0):
+        raise SchemaError(f"--x: expected {net.n} nonnegative endowments, got {args.x!r}")
     res = greatest_clearing(net, x)
     rows = _bank_rows(net.n, V=res.V, p=res.p, E=res.E, z=res.z)
     soc = res.societal_payment

@@ -219,9 +219,9 @@ def test_single_is_a_batch_of_one(seed, alpha_x, alpha_L):
             assert np.array_equal(single, row[0])
         assert res.societal_payment == float(net.pi_soc @ one[1][0])
         assert 1 <= res.iterations <= n + 1
-        # alone, a row is a lone column of a stacked solve; in a batch its
-        # group may take several right-hand sides or a product with A^{-1},
-        # which sum in another order, so rows agree to round-off, not bits
+        # alone, a row is the only column of a stacked solve; in a batch it may
+        # share a larger stacked chunk or a product with A^{-1}, which sum in
+        # another order, so rows agree to round-off, not bits
         for single, rows in zip((res.V, res.p, res.E), (V, p, E)):
             assert np.allclose(single, rows[k], rtol=0.0, atol=1e-12)
         assert np.array_equal(res.z, (res.V < -ZERO_TOL).astype(int))
@@ -429,7 +429,7 @@ def _wide(n, seed):
     [
         (_copula_3, "df48b7cb2373515e9181354f94ac8812b17e7fb4988d0877484b6066e2d794d1"),
         (_fixture_87, "69a7b6b5f9a743cc4f30acbb07ba3fb6277fc88b593febd5ae99383e0954738a"),
-        (lambda: _wide(64, 10), "f3a9b7b2f27f53321aa135ef3de914f49eddb64c1a4c6cb95c6cbf044fd680c7"),
+        (lambda: _wide(64, 10), "810e9688c13bdb2ce91e271e7d9a70e7dfcc669cca15ddf6904b62d1faed89af"),
         (lambda: _wide(65, 6), "9c8a665dd0d052196957e4a817a20ce575f189bd031eda7ff7a3d810fb445e2c"),
     ],
     ids=["copula-3", "fixture-87", "net-64", "net-65"],
@@ -477,10 +477,10 @@ def _small_gamma():
     ids=["fixture-87", "fixture-87-repeated", "net-4-repeated", "net-6-gamma-repeated"],
 )
 def test_batch_matches_own_affine_map(make, sizes):
-    # lone rows take stacked solves, groups of at most |T| rows (T the coupled
-    # banks of the pattern) one LU, larger groups a product with the inverse
-    # of the coupled block; every row must sit on the affine map of its own
-    # final default pattern, solved here on the dense system
+    # groups of more than |T| rows (T the coupled banks of the pattern) take a
+    # product with the inverse of the coupled block, every other row the
+    # stacked solves; every row must sit on the affine map of its own final
+    # default pattern, solved here on the dense system
     net, X = make()
     V, _, _, Z = greatest_clearing_batch(net, X)
     patterns, counts = np.unique(Z, axis=0, return_counts=True)
@@ -542,16 +542,17 @@ def test_kernel_solves_only_coupled_block(monkeypatch):
             assert A.shape == (1, size, size) and shape == (1, size, 1)
 
     # under cross-holdings the held banks 0 and 2 are coupled in every round:
-    # the first round is one group of every column, later rounds stack the
-    # lone row, and the last system is the dense one restricted to the held
-    # banks and the defaults
+    # the first round is one product with A^{-1} over every column, so it
+    # solves A against the 2 x 2 identity, later rounds stack the lone row,
+    # and the last system is the dense one restricted to the held banks and
+    # the defaults
     net, X = _small_gamma()
     stacked = 0
     for x in (2.0 * net.p_bar, *X):
         systems.clear()
         Z = greatest_clearing_batch(net, x[None, :])[3][0].astype(bool)
         T = np.flatnonzero(Z | np.isin(np.arange(net.n), [0, 2]))
-        assert systems[0][0].shape == (2, 2) and systems[0][1] == (2, 1)
+        assert systems[0][0].shape == (2, 2) and systems[0][1] == (2, 2)
         stacked += len(systems) - 1
         for A, shape in systems[1:]:
             assert A.shape == (1, shape[1], shape[1]) and shape[2] == 1
@@ -566,21 +567,22 @@ def test_kernel_solves_only_coupled_block(monkeypatch):
 
 def _lone_and_grouped():
     # rows 100-499 are each alone in their pattern and take the stacked solves;
-    # rows 0-99, three times each, share every pattern and take the group path
+    # rows 0-99, n + 1 times each, share every pattern with more rows than its
+    # coupled block has and take the product with A^{-1}
     net, X = _fixture_87()
-    return net, np.concatenate([X[100:], np.repeat(X[:100], 3, axis=0)])
+    return net, np.concatenate([X[100:], np.repeat(X[:100], net.n + 1, axis=0)])
 
 
 def test_lone_and_grouped_columns_match_picard_oracle(monkeypatch):
     systems = _record_solves(monkeypatch)
     net, X = _lone_and_grouped()
     V, _, _, Z = greatest_clearing_batch(net, X)
+    # Gamma = 0, so the first round solves nothing: the 2-D solves are groups
     assert {A.ndim for A, _ in systems} == {2, 3}
-    scale = float(net.p_bar.max())
-    for x, v, z in zip(X, V, Z):
-        W = upper_picard_clearing(net, x)
-        assert np.array_equal(z, (W < -ZERO_TOL).astype(int))
-        assert np.max(np.abs(v - W)) <= 1e-9 * scale
+    rows, inverse = np.unique(X, axis=0, return_inverse=True)
+    W = np.array([upper_picard_clearing(net, x) for x in rows])[inverse]
+    assert np.array_equal(Z, (W < -ZERO_TOL).astype(int))
+    assert np.max(np.abs(V - W)) <= 1e-9 * float(net.p_bar.max())
 
 
 def _gamma_net(rng, n):
@@ -591,24 +593,35 @@ def _gamma_net(rng, n):
     return build_network(random_net(rng, n=n).L, 0.7, 0.5, Gamma=Gamma)
 
 
-def test_lone_column_matches_its_group_under_cross_holdings():
-    # a row alone takes the stacked solve, the same row twice the group path
+def test_lone_column_matches_its_group_under_cross_holdings(monkeypatch):
+    # the same row 1, 2 and n + 1 times: after the first round its pattern
+    # takes the product with A^{-1} exactly when it has more rows than its
+    # coupled block (k > |T|), else the stacked solves, and n + 1 rows are
+    # more than any block has
+    systems = _record_solves(monkeypatch)
     rng = np.random.default_rng(21)
+    grouped = 0
     for _ in range(10):
         net = _gamma_net(rng, int(rng.integers(3, 7)))
         tol = 1e-12 * float(net.p_bar.max())
         for x in rng.uniform(0.0, 1.2, (20, net.n)) * net.p_bar:
-            alone = greatest_clearing_batch(net, x[None, :])
-            twice = greatest_clearing_batch(net, np.stack([x, x]))
-            assert np.array_equal(alone[3][0], twice[3][0])
-            assert np.array_equal(twice[3][0], twice[3][1])
-            assert np.max(np.abs(alone[0][0] - twice[0][0])) <= tol
+            runs = []
+            for k in (1, 2, net.n + 1):
+                systems.clear()
+                runs.append(greatest_clearing_batch(net, np.tile(x, (k, 1))))
+                assert all((A.ndim == 2) == (k > A.shape[-1]) for A, _ in systems[1:])
+                grouped += sum(A.ndim == 2 for A, _ in systems[1:])
+            alone = runs[0]
+            for V, _, _, Z in runs[1:]:
+                assert np.all(Z == alone[3][0])
+                assert np.max(np.abs(V - alone[0][0])) <= tol
+    assert grouped > 0
 
 
 def test_column_order_invariance():
-    # permuting a batch's rows permutes V, p, E and Z bit for bit: lone columns
-    # are chunked in pattern-key order, and a group's columns are right-hand
-    # sides of one factorization
+    # permuting a batch's rows permutes V, p, E and Z bit for bit: columns on
+    # the stacked path are chunked in pattern-key order, and the columns of a
+    # group of more than |T| share one product with A^{-1}
     rng = np.random.default_rng(8)
     cases = [_fixture_87(3000)]
     for k in range(30):

@@ -257,6 +257,18 @@ def test_statics_rejects_bank_out_of_range(two_bank_csv, beta1_params, capsys, b
     assert err["error"]["message"] == f"--bank: expected a bank in 1..2, got {bank}"
 
 
+@pytest.mark.parametrize("sweep", ["beta", "T", "alpha", "ratio"])
+@pytest.mark.parametrize("grid", ["nan", "0.5,inf"])
+def test_statics_rejects_non_finite_grid(two_bank_csv, beta1_params, capsys, sweep, grid):
+    # every sweep reads its grid through the one parser, which names the flag
+    argv = ["statics", two_bank_csv, beta1_params, "--sweep", sweep, f"--grid={grid}"]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err == {"type": "schema", "message": f"--grid: expected finite numbers, got {grid!r}"}
+
+
 def test_statics_ratio_sweeps_the_named_bank(two_bank_csv, beta1_params, capsys):
     from dataclasses import replace
 
@@ -550,6 +562,19 @@ SCHEMA_ERRORS = [
         {"r": 0.02, "T": 1.0, "sigma_M": 0.2, "beta": [float("nan"), 1], "gamma": [0.1] * 2, "s": [1] * 2},
         "capm params: beta must be a list of finite numbers, got [nan, 1]",
         id="capm-beta-nan",
+    ),
+    # a non-finite scalar is malformed input, as a non-finite list entry is
+    pytest.param(
+        "expect",
+        _model(AFFINE, AFFINE, dist={"kind": "lognormal", "mu": float("nan"), "sigma2": 1.0}),
+        "dist.lognormal: mu must be a finite number, got nan",
+        id="lognormal-mu-nan",
+    ),
+    pytest.param(
+        "expect",
+        _model(AFFINE, {"type": "power", "coef": 1.0, "exponent": 1.0, "shift": float("inf")}),
+        "map.power: shift must be a finite number, got inf",
+        id="power-shift-infinity",
     ),
 ]
 
