@@ -166,22 +166,34 @@ def _require_keys(obj, what: str, required, optional=()):
         raise SchemaError(f"{what}: unknown key(s) {', '.join(sorted(unknown))}")
 
 
+def _is_number(value) -> bool:
+    # a JSON number; float() and np.asarray would also take a boolean or a numeric string
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    """Every entry of possibly nested lists is a JSON number or null (read as nan)."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return value is None or _is_number(value)
+
+
 def _num(obj: dict, key: str, what: str, default=None) -> float:
     value = obj.get(key, default)
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: {key} must be a number, got {value!r}") from exc
-    if not math.isfinite(x):
+    if not _is_number(value):
+        raise SchemaError(f"{what}: {key} must be a number, got {value!r}")
+    if not math.isfinite(value):
         raise SchemaError(f"{what}: {key} must be a finite number, got {value!r}")
-    return x
+    return float(value)
 
 
 def _nums(obj: dict, key: str, what: str) -> np.ndarray:
     try:
-        values = np.asarray(obj[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: {key} must be a list of numbers, got {obj[key]!r}") from exc
+        values = np.asarray(obj[key], dtype=float) if _numbers(obj[key]) else None
+    except ValueError:  # ragged nested lists
+        values = None
+    if values is None:
+        raise SchemaError(f"{what}: {key} must be a list of numbers, got {obj[key]!r}")
     if not np.all(np.isfinite(values)):
         raise SchemaError(f"{what}: {key} must be a list of finite numbers, got {obj[key]!r}")
     return values

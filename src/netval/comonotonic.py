@@ -143,16 +143,9 @@ class LogNormal:
         logs = np.array([-math.inf if x <= 0.0 else math.log(x) for x in t.tolist()])
         return norm_cdf((self.mu + c * self.sigma * self.sigma - logs[:, None]) / self.sigma)
 
-    def survival(self, t: float) -> float:
-        """P(q >= t)."""
-        return float(self.tails(0.0, t)[0, 0])
-
-    def prob_below(self, t: float) -> float:
-        """P(q < t); the distribution has no atoms so this is the CDF."""
-        return 1.0 - self.survival(t)
-
-    def prob_interval(self, a: float, b: float) -> float:
-        return self.survival(a) - self.survival(b)
+    def prob_below(self, t) -> np.ndarray:
+        """P(q < t) at each ``t``; the law has no atoms, so this is the CDF."""
+        return 1.0 - self.tails(0.0, t)[:, 0]
 
     def moment(self, c: float) -> float:
         """E[q**c]."""
@@ -185,18 +178,9 @@ class PointMass:
         self.atoms = atoms[order]
         self.probs = probs[order]
 
-    def prob_below(self, t: float) -> float:
-        return float(self.probs[self.atoms < t].sum())
-
-    def prob_interval(self, a: float, b: float) -> float:
-        sel = (self.atoms >= a) & (self.atoms < b)
-        return float(self.probs[sel].sum())
-
-    def partial_map(self, f, a: float, b: float) -> float:
-        sel = (self.atoms >= a) & (self.atoms < b)
-        if not sel.any():
-            return 0.0
-        return float(self.probs[sel] @ np.asarray(f(self.atoms[sel]), dtype=float))
+    def prob_below(self, t) -> np.ndarray:
+        """P(q < t) at each ``t``."""
+        return np.array([self.probs[self.atoms < x].sum() for x in np.ravel(t).tolist()])
 
     def mean(self) -> float:
         return float(self.probs @ self.atoms)
@@ -224,11 +208,9 @@ class Uniform01:
 
     kind = "uniform"
 
-    def prob_below(self, t: float) -> float:
-        return float(np.clip(t, 0.0, 1.0))
-
-    def prob_interval(self, a: float, b: float) -> float:
-        return self.prob_below(b) - self.prob_below(a)
+    def prob_below(self, t) -> np.ndarray:
+        """P(q < t) at each ``t``."""
+        return np.clip(np.ravel(np.asarray(t, dtype=float)), 0.0, 1.0)
 
     def mean(self) -> float:
         return 0.5
@@ -282,8 +264,8 @@ def _quadrature_pe(dist, f, a: float, b: float) -> float:
         def func(q):
             return np.asarray(f(q), dtype=float)
 
-    elif isinstance(dist, LogNormal):
-        # in y = (log q - mu) / sigma against the normal density on |y| <= 40,
+    else:
+        # lognormal: in y = (log q - mu) / sigma against the normal density on |y| <= 40,
         # split at the map's knots: in q, [1, inf) is a window 1e17 wide
         # whose first Gauss-Legendre nodes all miss the mass
         y = [-math.inf if v <= 0.0 else (math.log(v) - dist.mu) / dist.sigma
@@ -295,41 +277,23 @@ def _quadrature_pe(dist, f, a: float, b: float) -> float:
             q = np.exp(dist.mu + dist.sigma * t)
             return np.asarray(f(q), dtype=float) * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
-    else:
-        raise ModelError(f"no quadrature rule for distribution kind {dist.kind!r}")
     pieces = zip(edges, edges[1:])
     return sum((adaptive_gauss_legendre(func, u, v) for u, v in pieces if u < v), 0.0)
 
 
 def partial_expectation(dist, f, a: float, b: float):
-    """Interval probability and partial expectation of ``f`` over ``[a, b)``.
+    """``(P(q in [a, b)), E[f(q) 1{q in [a, b)}])`` as floats.
 
-    Returns
-    -------
-    (prob, pe) : tuple of float
-        ``P(q in [a, b))`` and ``E[f(q) 1{q in [a, b)}]``.
-
-    Closed forms cover discrete laws, lognormal factors paired with power
-    maps (the one-interval entry of ``_interval_moments``) and uniform
-    factors paired with affine maps; anything else integrates adaptively.
+    The one-map case of ``_interval_moments``: an atom sum under a discrete
+    law, the closed form for a power map under a lognormal or uniform law,
+    adaptive quadrature for any other map.
     """
     if a > b:
         raise ModelError(f"interval endpoints out of order: a={a} > b={b}")
     if a == b:
         return 0.0, 0.0
-    if isinstance(dist, LogNormal) and isinstance(f, PowerMap):
-        prob, pe = _interval_moments((f,), dist)(a, b)
-        return float(prob), float(pe[0])
-    prob = dist.prob_interval(a, b)
-
-    if isinstance(dist, PointMass):
-        return prob, dist.partial_map(f, a, b)
-    if isinstance(dist, Uniform01) and isinstance(f, AffineMap):
-        lo, hi = max(a, 0.0), min(b, 1.0)
-        if hi <= lo:
-            return prob, 0.0
-        return prob, f.shift * (hi - lo) + 0.5 * f.slope * (hi * hi - lo * lo)
-    return prob, _quadrature_pe(dist, f, a, b)
+    prob, pe = _interval_moments((f,), dist)(a, b)
+    return float(prob), float(pe[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +322,8 @@ class FactorModel:
 
     def __init__(self, f, dist):
         f = tuple(f)
+        if not isinstance(dist, (LogNormal, PointMass, Uniform01)):
+            raise ModelError(f"unknown factor law {type(dist).__name__}")
         for i, fi in enumerate(f):
             if not callable(fi):
                 raise ModelError(f"map {i} is not callable")
@@ -602,34 +568,52 @@ def solvency_thresholds(net: FinancialNetwork, model: FactorModel) -> SolvencyTh
 
 
 def _interval_moments(f, dist):
-    """``moments(a, b)``: ``P(I)`` and ``E[f_i(q) 1{q in I}]`` per map over
-    ``I = [a, b)``, ``a < b``.
+    """``moments(a, b)``: ``P(I)`` and ``E[f_i(q) 1{q in I}]`` per map on
+    ``I = [a, b)``, ``a < b``; the only code that turns a factor law into these.
 
-    Under a lognormal factor every ``PowerMap`` column is ``shift P(I) + coef
-    E[q**c] P_c(I)``, ``P_c`` the law tilted by ``q**c``: one ``tails`` call per
-    interval, the rest worked out once.  Other columns call ``partial_expectation``.
+    A discrete law sums each map over its atoms in ``I``.  Under a lognormal or
+    uniform law a ``PowerMap`` column is ``shift P(I) + coef E[q**c; I]``, one
+    ``E[q**c; I]`` per distinct exponent: ``E[q**c] P_c(I)`` from one ``tails`` call
+    (``P_c`` the lognormal tilted by ``q**c``), or ``(hi * hi**c - lo * lo**c) / (c + 1)``
+    with ``[lo, hi] = I`` clipped to ``[0, 1]``.  Other columns integrate (``_quadrature_pe``).
     """
-    power, rest = [], []
-    for i, fi in enumerate(f):
-        (power if isinstance(dist, LogNormal) and isinstance(fi, PowerMap) else rest).append(i)
-    if power:
-        shift, coef, expo = _map_params([f[i] for i in power])
-        # np.unique imports numpy.ma on first use (numpy 2.4), 5 ms of a CLI call
-        expos = sorted(set(expo.tolist()))
-        col = np.searchsorted(expos, expo)
+    if isinstance(dist, PointMass):
+        def discrete(a: float, b: float):
+            sel = (dist.atoms >= a) & (dist.atoms < b)
+            if not sel.any():
+                return 0.0, np.zeros(len(f))
+            w, x = dist.probs[sel], dist.atoms[sel]
+            return float(w.sum()), np.array([w @ np.asarray(fi(x), dtype=float) for fi in f])
+
+        return discrete
+    power = [i for i, fi in enumerate(f) if isinstance(fi, PowerMap)]
+    rest = [i for i, fi in enumerate(f) if not isinstance(fi, PowerMap)]
+    shift, coef, expo = _map_params([f[i] for i in power])
+    # np.unique imports numpy.ma on first use (numpy 2.4), 5 ms of a CLI call
+    expos = sorted(set(expo.tolist()))
+    col = np.searchsorted(expos, expo)
+    if isinstance(dist, LogNormal):
         scale = np.array([dist.moment(c) for c in expos])
-        exponents = [0.0, *expos]
+
+        def tilted(a: float, b: float):
+            tails = dist.tails([0.0, *expos], [b, a])
+            return tails[1, 0] - tails[0, 0], scale * (tails[1, 1:] - tails[0, 1:])
+    elif isinstance(dist, Uniform01):
+        c = np.array(expos)
+
+        def tilted(a: float, b: float):
+            lo, hi = min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
+            # hi * hi**c, not hi**(c + 1), which can miss hi * hi by one spacing at c = 1
+            return hi - lo, (hi * hi**c - lo * lo**c) / (c + 1.0)
+    else:
+        raise ModelError(f"unknown factor law {type(dist).__name__}")
 
     def moments(a: float, b: float):
-        pe = np.zeros(len(f))
-        prob = 0.0
-        if power:
-            tails = dist.tails(exponents, [b, a])
-            prob = tails[1, 0] - tails[0, 0]
-            tilted = scale * (tails[1, 1:] - tails[0, 1:])
-            pe[power] = shift * prob + coef * tilted[col]
+        prob, m = tilted(a, b)
+        pe = np.empty(len(f))
+        pe[power] = shift * prob + coef * m[col]
         for i in rest:
-            prob, pe[i] = partial_expectation(dist, f[i], a, b)
+            pe[i] = _quadrature_pe(dist, f[i], a, b)
         return prob, pe
 
     return moments
@@ -657,8 +641,4 @@ def expected_values(net: FinancialNetwork, model: FactorModel) -> ExpectedValues
     """
     th, EV, EE = _sweep(net, model, _interval_moments(model.f, model.dist))
     Ep = net.p_bar + (EV - EE)
-    if isinstance(model.dist, LogNormal):
-        pd = 1.0 - model.dist.tails(0.0, th.q_star)[:, 0]
-    else:
-        pd = np.array([model.dist.prob_below(q) for q in th.q_star])
-    return ExpectedValues(pd=pd, EV=EV, Ep=Ep, EE=EE, thresholds=th)
+    return ExpectedValues(pd=model.dist.prob_below(th.q_star), EV=EV, Ep=Ep, EE=EE, thresholds=th)

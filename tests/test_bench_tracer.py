@@ -1,16 +1,19 @@
-"""The benchmark's tracer patches ``netval`` by name from outside.
+"""The benchmark reaches into ``netval`` by name from outside.
 
 ``bench/tracer.py`` looks each listed function up with ``getattr`` when a
-traced run starts, so a rename under ``src/`` would only show as a failed
-benchmark run.  This test reads the lists from the file without running it
-and checks them against the package.
+traced run starts, and the workloads call library functions as ``nv.<name>``
+attributes, so a rename under ``src/`` would only show as a failed benchmark
+run.  These tests read the files without running them and check every name
+against the package.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _patch_lists() -> dict:
@@ -36,3 +39,32 @@ def test_tracer_patch_list_names_exist():
         # the tracer wraps cls.__call__: the class or one of its bases must define it
         cls = getattr(comonotonic, cname)
         assert any("__call__" in vars(k) for k in cls.__mro__[:-1]), cname
+
+
+def _netval_names(path: Path) -> set:
+    """``(module, name)`` for every name a file imports from ``netval`` or
+    reads as an attribute of ``import netval as <alias>``."""
+    tree = ast.parse(path.read_text())
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "netval"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "netval":
+            names |= {(node.module, a.name) for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                names.add(("netval", node.attr))
+    return names
+
+
+def test_bench_netval_names_exist():
+    for path in sorted(BENCH.glob("*.py")):
+        for module, name in _netval_names(path):
+            mod = importlib.import_module(module)
+            # a submodule imported by name (``from netval import cli``) need not be loaded yet
+            found = hasattr(mod, name) or importlib.util.find_spec(f"{module}.{name}") is not None
+            assert found, f"{path.name}: {module}.{name}"
+    # the workloads' attribute calls and imports are both read
+    names = {name for _, name in _netval_names(BENCH / "workloads.py")}
+    assert {"expected_values", "simulate", "FactorModel"} <= names

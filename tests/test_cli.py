@@ -576,6 +576,31 @@ SCHEMA_ERRORS = [
         "map.power: shift must be a finite number, got inf",
         id="power-shift-infinity",
     ),
+    # JSON booleans and strings are not numbers, though float() would take them
+    pytest.param(
+        "expect",
+        _model(AFFINE, AFFINE, dist={"kind": "lognormal", "mu": True, "sigma2": 1.0}),
+        "dist.lognormal: mu must be a number, got True",
+        id="lognormal-mu-boolean",
+    ),
+    pytest.param(
+        "expect",
+        _model(AFFINE, {"type": "power", "coef": "1.0", "exponent": 1.0}),
+        "map.power: coef must be a number, got '1.0'",
+        id="power-coef-numeric-string",
+    ),
+    pytest.param(
+        "price",
+        {"r": 0.02, "T": 1.0, "sigma_M": 0.2, "beta": [True, 1], "gamma": [0.1] * 2, "s": [1] * 2},
+        "capm params: beta must be a list of numbers, got [True, 1]",
+        id="capm-beta-boolean-entry",
+    ),
+    pytest.param(
+        "simulate",
+        {"kind": "gaussian-copula-lognormal", "mu": [0, 0], "sigma": [1, 1], "corr": [[1, "0"], [0, 1]]},
+        "scenario.gaussian-copula-lognormal: corr must be a list of numbers, got [[1, '0'], [0, 1]]",
+        id="copula-corr-string-entry",
+    ),
 ]
 
 

@@ -90,6 +90,7 @@ def test_pe_point_mass_exact():
 
 
 @given(
+    law=st.sampled_from(["lognormal", "uniform"]),
     mu=st.floats(-1.0, 1.0),
     sig2=st.floats(0.1, 2.0),
     coef=st.floats(0.1, 3.0),
@@ -97,9 +98,13 @@ def test_pe_point_mass_exact():
     a=st.floats(0.1, 2.0),
     width=st.floats(0.1, 3.0),
 )
-@settings(max_examples=40)
-def test_pe_closed_form_matches_quadrature(mu, sig2, coef, expo, a, width):
+@settings(max_examples=80)
+def test_pe_closed_form_matches_quadrature(law, mu, sig2, coef, expo, a, width):
+    # a wrapped power map is not a PowerMap, so it takes the quadrature;
+    # uniform intervals are halved, to start inside [0, 1] and often end past 1
     dist = LogNormal(mu, sig2)
+    if law == "uniform":
+        dist, a, width = Uniform01(), 0.5 * a, 0.5 * width
     fast = partial_expectation(dist, PowerMap(coef, expo), a, a + width)
 
     class Wrapped:
@@ -140,6 +145,23 @@ def test_uniform_affine_closed_form():
     prob, pe = partial_expectation(Uniform01(), AffineMap(1.0, 2.0), 0.25, 0.75)
     assert abs(prob - 0.5) < 1e-14
     assert abs(pe - 0.5 * (1.0 + 2.0 * 0.5)) < 1e-12
+
+
+def test_uniform_power_closed_form():
+    # E[0.2 + 0.8 U**0.37] = 0.2 + 0.8 / 1.37 = 0.78394160583941605...
+    prob, pe = partial_expectation(Uniform01(), PowerMap(0.8, 0.37, 0.2), 0.0, np.inf)
+    assert prob == 1.0
+    assert abs(pe - (0.2 + 0.8 / 1.37)) <= 4 * math.ulp(0.2 + 0.8 / 1.37)
+
+
+def test_unknown_factor_law_is_a_model_error():
+    class D:
+        pass
+
+    with pytest.raises(ModelError, match="unknown factor law D"):
+        FactorModel([PowerMap(1.0, 1.0)], D())
+    with pytest.raises(ModelError, match="unknown factor law D"):
+        partial_expectation(D(), PowerMap(1.0, 1.0), 0.0, 1.0)
 
 
 def test_empirical_is_point_mass():
@@ -540,21 +562,40 @@ def test_bisection_thresholds_pinned(name):
     assert digests == BISECTION_PINS[name]
 
 
-def test_lognormal_pd_matches_prob_below():
-    # expected_values takes a lognormal pd from one tails call; it must give
-    # the bits of prob_below, also at 0, denormal-small, huge and inf thresholds
+def _scalar_prob_below(dist, x: float) -> float:
+    # P(q < x) one threshold at a time, as each law computed it before
+    # prob_below took arrays
+    if isinstance(dist, LogNormal):
+        return 1.0 - float(dist.tails(0.0, x)[0, 0])
+    if isinstance(dist, PointMass):
+        return float(dist.probs[dist.atoms < x].sum())
+    return float(np.clip(x, 0.0, 1.0))
+
+
+def test_pd_matches_prob_below():
+    # expected_values takes pd from one prob_below call on all thresholds; it
+    # must give the bits of the per-threshold values, also at 0,
+    # denormal-small, huge and inf thresholds
     rng = np.random.default_rng(13)
     t = np.concatenate(([0.0, 1e-300, 1.0, 1e300, np.inf], rng.lognormal(0.0, 3.0, 49)))
-    for _ in range(20):
-        dist = LogNormal(rng.normal(0.0, 2.0), rng.uniform(0.01, 4.0))
-        assert (1.0 - dist.tails(0.0, t)[:, 0]).tolist() == [dist.prob_below(x) for x in t]
-    for _ in range(5):
-        net = random_net(rng)
-        coef, expo = rng.uniform(0.5, 3.0, net.n), rng.uniform(0.2, 1.5, net.n)
-        maps = [PowerMap(k, e) for k, e in zip(coef, expo)]
-        dist = LogNormal(rng.normal(0.0, 0.5), rng.uniform(0.1, 1.0))
-        ev = expected_values(net, FactorModel(maps, dist))
-        assert ev.pd.tolist() == [dist.prob_below(q) for q in ev.thresholds.q_star]
+    laws = {
+        "lognormal": lambda: LogNormal(rng.normal(0.0, 2.0), rng.uniform(0.01, 4.0)),
+        "pointmass": lambda: PointMass(rng.lognormal(0.0, 1.0, 12), rng.dirichlet(np.ones(12))),
+        "empirical": lambda: Empirical(rng.lognormal(0.0, 1.0, 40)),
+        "uniform": Uniform01,
+    }
+    for make in laws.values():
+        for _ in range(5):
+            dist = make()
+            assert dist.prob_below(t).tolist() == [_scalar_prob_below(dist, x) for x in t]
+    for name, make in laws.items():
+        for _ in range(5):
+            net = random_net(rng)
+            coef, expo = rng.uniform(0.5, 3.0, net.n), rng.uniform(0.2, 1.5, net.n)
+            dist = make()
+            ev = expected_values(net, FactorModel(map(PowerMap, coef, expo), dist))
+            want = [_scalar_prob_below(dist, q) for q in ev.thresholds.q_star]
+            assert ev.pd.tolist() == want, name
 
 
 def test_factor_model_endowments():
@@ -902,10 +943,11 @@ PARENT_VALUES = {
         [1.0, 1.05],
         [0.19999999999999996, 0.31399999999999995],
     ],
+    # the closed form: each value within 2 ulp of a 40-digit quadrature
     ('pe', 'uniform', 'power'): [
         [0.6499999999999999, 0.562107128459957],
-        [1.0, 0.7839416058396815],
-        [0.19999999999999996, 0.19380866634263352],
+        [1.0, 0.7839416058394162],
+        [0.19999999999999996, 0.1938086663426336],
     ],
     ('pe', 'uniform', 'tabulated'): [
         [0.6499999999999999, 0.6511103350804729],
