@@ -50,8 +50,7 @@ class TabulatedQuantile:
     def mean(self) -> float:
         m = self._map
         u, x = m.q_knots, m.x_knots
-        inner = float(m._interp.integrate(u[0], u[-1]))
-        return float(x[0] * u[0] + inner + x[-1] * (1.0 - u[-1]))
+        return float(x[0] * u[0] + m.integral() + x[-1] * (1.0 - u[-1]))
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
@@ -182,9 +182,13 @@ def _num(obj: dict, key: str, what: str, default=None) -> float:
     value = obj.get(key, default)
     if not _is_number(value):
         raise SchemaError(f"{what}: {key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise SchemaError(f"{what}: {key} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _nums(obj: dict, key: str, what: str) -> np.ndarray:
@@ -192,6 +196,8 @@ def _nums(obj: dict, key: str, what: str) -> np.ndarray:
         values = np.asarray(obj[key], dtype=float) if _numbers(obj[key]) else None
     except ValueError:  # ragged nested lists
         values = None
+    except OverflowError:  # a JSON integer beyond the float range
+        values = np.array([math.inf])
     if values is None:
         raise SchemaError(f"{what}: {key} must be a list of numbers, got {obj[key]!r}")
     if not np.all(np.isfinite(values)):

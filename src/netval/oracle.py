@@ -20,11 +20,13 @@ from .clearing import (
     greatest_clearing,
     greatest_clearing_batch,
 )
+from .comonotonic import norm_ppf
 from .network import FinancialNetwork
 
 REGION_MAX_BANKS = 12
 THRESHOLD_REL_TOL = 1e-12  # threshold bisection stops at this width relative to max(q, 1)
 THRESHOLD_MAX_ITER = 300  # and after this many halvings
+CORR_SYM_TOL = 1e-12  # largest |corr - corr.T| relative to max |corr|
 
 _KIND_TAGS = {
     "comonotonic-factor": 1,
@@ -153,9 +155,7 @@ def _substream_uniforms(seed: int, tag: int, n_paths: int, dims: int, path_offse
 
 
 def _normals(seed, tag, n_paths, dims, path_offset):
-    from scipy.special import ndtri
-
-    return ndtri(_substream_uniforms(seed, tag, n_paths, dims, path_offset))
+    return norm_ppf(_substream_uniforms(seed, tag, n_paths, dims, path_offset))
 
 
 def simulate(spec: dict, n_paths: int, seed: int, path_offset: int = 0) -> ScenarioBatch:
@@ -204,14 +204,16 @@ def simulate(spec: dict, n_paths: int, seed: int, path_offset: int = 0) -> Scena
         n = mu.size
         if sigma.shape != (n,) or corr.shape != (n, n):
             raise OracleError("mu, sigma, corr shapes are inconsistent")
+        if not all(np.all(np.isfinite(a)) for a in (mu, sigma, corr)):
+            raise OracleError("mu, sigma and corr must be finite")
         if np.any(sigma <= 0.0):
             raise OracleError("sigma entries must be positive")
-        # scipy's factor, not numpy's: for some matrices from n = 8 on they
-        # differ in the last bit, which would change the draws
-        from scipy.linalg import cholesky
-
+        if np.any(np.abs(corr - corr.T) > CORR_SYM_TOL * np.abs(corr).max(initial=0.0)):
+            raise OracleError("correlation matrix is not symmetric")
+        # numpy reads only the lower triangle; its factor and scipy's
+        # differ in the last bit for some matrices from n = 5 on
         try:
-            chol = cholesky(corr, lower=True)
+            chol = np.linalg.cholesky(corr)
         except np.linalg.LinAlgError as exc:
             raise OracleError("correlation matrix is not positive definite") from exc
         Z = _normals(seed, tag, n_paths, n, path_offset)

@@ -427,8 +427,8 @@ def _wide(n, seed):
 @pytest.mark.parametrize(
     "make, digest",
     [
-        (_copula_3, "df48b7cb2373515e9181354f94ac8812b17e7fb4988d0877484b6066e2d794d1"),
-        (_fixture_87, "69a7b6b5f9a743cc4f30acbb07ba3fb6277fc88b593febd5ae99383e0954738a"),
+        (_copula_3, "3496ad5b37a81dbc1de16b7772cf410a17487fded27a52e3cfdd7c0495884b52"),
+        (_fixture_87, "ee4b1f25d97e6b6c88f0aaaf925fd703a04871eaae0f5e06c0fe677969fbed87"),
         (lambda: _wide(64, 10), "810e9688c13bdb2ce91e271e7d9a70e7dfcc669cca15ddf6904b62d1faed89af"),
         (lambda: _wide(65, 6), "9c8a665dd0d052196957e4a817a20ce575f189bd031eda7ff7a3d810fb445e2c"),
     ],

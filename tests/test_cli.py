@@ -110,17 +110,6 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_clear_loads_no_scipy(two_bank_csv):
-    code = (
-        "from netval.cli import main\n"
-        f"argv = ['clear', {two_bank_csv!r}, '--x', '3,4', '--output', {os.devnull!r}]\n"
-        "assert main(argv) == 0\n" + PRINT_SCIPY_MODULES
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 def test_bounds_finite_loads_no_numpy_ma(tmp_path, two_bank_csv):
     # np.unique imports numpy.ma on first use; the finite support grid avoids it
     marginals = tmp_path / "finite.json"
@@ -601,6 +590,19 @@ SCHEMA_ERRORS = [
         "scenario.gaussian-copula-lognormal: corr must be a list of numbers, got [[1, '0'], [0, 1]]",
         id="copula-corr-string-entry",
     ),
+    # JSON integers beyond the float range: these used to exit 1 as internal errors
+    pytest.param(
+        "expect",
+        _model(AFFINE, AFFINE, dist={"kind": "lognormal", "mu": 10**400, "sigma2": 1.0}),
+        f"dist.lognormal: mu must be a finite number, got {10**400!r}",
+        id="lognormal-mu-huge-integer",
+    ),
+    pytest.param(
+        "expect",
+        _model(AFFINE, AFFINE, dist={"kind": "pointmass", "atoms": [1, -(10**400)], "probs": [0.5, 0.5]}),
+        f"dist.pointmass: atoms must be a list of finite numbers, got {[1, -(10**400)]!r}",
+        id="pointmass-atoms-huge-integer",
+    ),
 ]
 
 
@@ -618,6 +620,16 @@ def test_schema_error_messages(tmp_path, two_bank_csv, capsys, command, obj, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == {"type": "schema", "message": message}
+
+
+def test_integer_past_the_digit_limit_is_a_schema_error(tmp_path, two_bank_csv, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"maps": [], "dist": {"kind": "lognormal", "mu": 1' + "0" * 5000 + ', "sigma2": 1}}')
+    assert cli.main(["expect", two_bank_csv, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "schema" and err["message"].startswith(f"{path}: not valid JSON")
 
 
 def test_json_schema_envelope(two_bank_csv, bench_model):
@@ -671,6 +683,13 @@ GOLDEN_INPUTS = {
         ],
     },
     "model.json": GOLDEN_LOGNORMAL_MODEL,
+    "model_tabulated.json": {
+        "maps": [
+            {"type": "tabulated", "q": [0.0, 0.5, 1.5, 4.0], "x": [1.0, 4.0, 9.0, 14.0]},
+            {"type": "affine", "shift": 0.5, "slope": 2.0},
+        ],
+        "dist": {"kind": "lognormal", "mu": -0.5, "sigma2": 1.0},
+    },
     "model_power.json": {
         "maps": [
             {"type": "power", "coef": 2.5, "exponent": 0.8, "shift": 0.5},
@@ -767,6 +786,11 @@ GOLDEN_CALLS = [
         id="expect-power",
     ),
     pytest.param(
+        "expect {dir}/net.csv {dir}/model_tabulated.json",
+        "c623c813f84231c8f0e6fdf9c4ce40e37b1f97b1fbb4b48056b35253282b60a3",
+        id="expect-tabulated",
+    ),
+    pytest.param(
         "calibrate {dir}/sheets.csv --seed 3",
         "e033567bb1b6fd82883e109cf4f38d1e58d698e11404f276a56c3393f4cc9b9f",
         id="calibrate-6-banks",
@@ -775,6 +799,16 @@ GOLDEN_CALLS = [
         "simulate {dir}/scen_factor.json --paths 5 --offset 3 --seed 2",
         "da5a72ec1fd3266dd8ac666a27fc624e96e4ac30ed277aa15ce3de2edde7f01f",
         id="simulate-factor-offset",
+    ),
+    pytest.param(
+        "simulate {dir}/scen_capm.json --paths 5 --seed 4",
+        "bc7cbefed130843103ccc27b0a3b73354c86d28fa58b7cb4ee47d3e575452db2",
+        id="simulate-capm-P",
+    ),
+    pytest.param(
+        "simulate {dir}/scen_copula.json --paths 5 --offset 2 --seed 4",
+        "1bbb99d9e5df4dabb5a99bcca943a34684dfd4af77bbc0d7ffe49286f21c2d86",
+        id="simulate-copula-offset",
     ),
     pytest.param(
         "mc {dir}/net.csv {dir}/scen_capm.json --paths 400 --seed 5",
@@ -811,3 +845,38 @@ def test_golden_stdout(golden_dir, capsys, command, digest):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_every_command_runs_without_scipy(golden_dir):
+    # every golden call in one interpreter where importing scipy fails:
+    # each still exits 0 with its golden bytes, and none tries scipy
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert {p.values[0].split()[0] for p in GOLDEN_CALLS} == set(subcommands)
+    ids = [p.id for p in GOLDEN_CALLS]
+    calls = [(p.values[0].format(dir=golden_dir).split(), p.values[1]) for p in GOLDEN_CALLS]
+    code = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "tried = []\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            tried.append(name)\n"
+        "            raise ImportError(f'{name} is not available')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from netval.cli import main\n"
+        "results = []\n"
+        f"for argv in {[argv for argv, _ in calls]!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])\n"
+        "print(json.dumps(results))\n"
+        "print(tried)\n" + PRINT_SCIPY_MODULES
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    results, tried, loaded = proc.stdout.splitlines()
+    assert dict(zip(ids, json.loads(results))) == {
+        name: [0, digest] for name, (_, digest) in zip(ids, calls)
+    }, proc.stderr
+    assert tried == "[]" and loaded == "[]"

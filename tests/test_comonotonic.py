@@ -31,7 +31,7 @@ from netval import (
 )
 from netval.capm import CapmParams, _eta_maps, price_and_cap
 from netval.clearing import ZERO_TOL
-from netval.comonotonic import _pivot, norm_cdf
+from netval.comonotonic import _pivot, norm_cdf, norm_ppf
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,38 @@ def test_norm_cdf_matches_scipy_erfc():
     normal = ref >= np.finfo(float).tiny
     assert np.all(np.abs(got - ref)[normal] <= 1e-13 * ref[normal])
     assert np.all(np.abs(got - ref)[~normal] <= np.finfo(float).tiny)
+
+
+def _ulps(a, b):
+    # distance in representable doubles between same-signed finite values
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_norm_ppf_matches_scipy_ndtri():
+    from scipy.special import ndtri
+
+    gen = np.random.Generator(np.random.Philox(key=np.array([2024, 7], dtype=np.uint64)))
+    tiny = 10.0 ** -np.linspace(1.0, 300.0, 30_001)
+    u = np.concatenate([gen.random(1_000_000), tiny, 1.0 - tiny[tiny > 1e-16]])
+    got, ref = norm_ppf(u), ndtri(u)
+    assert got.shape == u.shape
+    # numpy's vectorised log and the C library's differ in a few last bits
+    assert np.mean(got == ref) >= 0.9999
+    assert _ulps(got, ref).max() <= 8
+    assert np.array_equal(norm_ppf(u[:1_000_000].reshape(-1, 5)), got[:1_000_000].reshape(-1, 5))
+
+
+def test_norm_ppf_edge_values():
+    from scipy.special import ndtri
+
+    u = np.array([0.0, -0.0, 1.0, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0),
+                  -1e-300, np.nextafter(1.0, 2.0), -np.inf, np.inf, np.nan])
+    got = norm_ppf(u)
+    assert got[0] == got[1] == -np.inf and got[2] == np.inf and got[5] == 0.0
+    assert np.all(np.isnan(got[7:]))
+    assert np.array_equal(got, ndtri(u), equal_nan=True)
+    assert isinstance(norm_ppf(0.975), float) and norm_ppf(0.975) == ndtri(0.975)
 
 
 def test_pe_rejects_reversed_interval():
@@ -178,6 +210,32 @@ def test_tabulated_map_interpolates_knots():
     f = TabulatedMap([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     assert np.allclose(f(np.array([0.0, 1.0, 2.0])), [0.0, 1.0, 4.0])
     assert f(3.0) == 4.0  # flat extrapolation keeps monotonicity
+
+
+def _pchip_cases():
+    rng = np.random.default_rng(80)
+    yield np.array([0.5, 2.0]), np.array([1.0, 4.0])  # two knots: a straight line
+    yield np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0, 1.0])
+    for _ in range(300):
+        k = int(rng.integers(3, 12))
+        q = np.cumsum(rng.uniform(0.01, 3.0, k)) - 1.0
+        steps = rng.exponential(1.0, k - 1) * (rng.random(k - 1) < 0.7)  # flat pieces
+        yield q, rng.uniform(0.0, 2.0) + np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def test_tabulated_map_matches_scipy_pchip():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(81)
+    for q, x in _pchip_cases():
+        ref = PchipInterpolator(q, x)
+        f = TabulatedMap(q, x)
+        v = np.concatenate([q[:-1], rng.uniform(q[0], q[-1], 100)])
+        assert np.allclose(f(v), ref(v), rtol=1e-14, atol=0.0)
+        whole = float(ref.integrate(q[0], q[-1]))
+        assert abs(f.integral() - whole) <= 1e-14 * abs(whole)
+        # constant beyond the ends, exactly the end values
+        assert f(q[0] - 1.0) == x[0] and f(q[-1]) == x[-1] and f(q[-1] + 1.0) == x[-1]
 
 
 def test_tabulated_map_rejects_decreasing():

@@ -159,8 +159,9 @@ CAPM_P_SPEC = {
     ),
 }
 
-# eight banks: from n = 8 on, numpy's and scipy's Cholesky factors of this
-# matrix differ in the last bit, so the hash also pins the factorization
+# eight banks: numpy's and scipy's Cholesky factors of this matrix differ
+# in the last bit (as they do for some matrices from n = 5 on), so the hash
+# also pins the factorization
 COPULA8_SPEC = {
     "kind": "gaussian-copula-lognormal",
     "mu": [0.0, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.0],
@@ -196,7 +197,7 @@ COPULA8_SPEC = {
             [3.145499103123026, 0.8718533944887854, 1.2517254669587257,
              0.6370306100698169, 2.022242656495699, 2.962596152130064,
              0.40694580295504446, 1.303566817923456],
-            "d26109b21c721718e693967410286ab0532585bb80632538f7f5ef5e89b0e851",
+            "4711a5e5408312b8e60a626c64ffd912a077d3c846a52cf3948a3aacc3a282a7",
         ),
     ],
     ids=["capm-Q", "capm-P", "copula-8"],
@@ -239,6 +240,50 @@ def test_empty_batch_rejected():
 def test_finite_support_rejects_bad_atoms(bad):
     spec = {"kind": "finite-support", "atoms": [[bad, 2.0], [3.0, 4.0]], "probs": [0.5, 0.5]}
     with pytest.raises(OracleError, match="nonnegative and finite"):
+        simulate(spec, 10, 0)
+
+
+def _copula_with(key, row, col, value):
+    spec = {k: np.array(v, dtype=float) for k, v in COPULA_SPEC.items() if k != "kind"}
+    if key == "corr":
+        spec[key][row, col] = value
+    else:
+        spec[key][row] = value
+    return {"kind": COPULA_SPEC["kind"], **spec}
+
+
+@pytest.mark.parametrize(
+    "key, row, col, value, match",
+    [
+        ("mu", 1, None, np.nan, "must be finite"),
+        ("mu", 0, None, -np.inf, "must be finite"),
+        ("sigma", 2, None, np.inf, "must be finite"),
+        ("sigma", 0, None, np.nan, "must be finite"),
+        ("corr", 1, 2, np.nan, "must be finite"),
+        ("corr", 0, 0, np.inf, "must be finite"),
+        # one triangle alone would be factored without a word
+        ("corr", 0, 2, 0.1 + 1e-9, "not symmetric"),
+        ("corr", 2, 1, 0.2, "not symmetric"),
+    ],
+    ids=["mu-nan", "mu-neg-inf", "sigma-inf", "sigma-nan", "corr-nan", "corr-inf",
+         "corr-upper-off", "corr-lower-off"],
+)
+def test_copula_rejects_bad_inputs(key, row, col, value, match):
+    with pytest.raises(OracleError, match=match):
+        simulate(_copula_with(key, row, col, value), 10, 0)
+
+
+def test_copula_accepts_rounding_asymmetry():
+    # relative 1e-12 is the tolerance: a last-bit asymmetry passes, and
+    # the factor reads the lower triangle
+    spec = _copula_with("corr", 0, 1, np.nextafter(0.3, 1.0))
+    assert np.array_equal(simulate(spec, 50, 7).X, simulate(COPULA_SPEC, 50, 7).X)
+
+
+def test_copula_rejects_indefinite_corr():
+    spec = _copula_with("corr", 0, 1, 1.5)
+    spec["corr"][1, 0] = 1.5
+    with pytest.raises(OracleError, match="not positive definite"):
         simulate(spec, 10, 0)
 
 
