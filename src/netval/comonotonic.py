@@ -8,16 +8,18 @@ payments, and equities reduce to at most ``n + 1`` interval terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import _coupled, _external_share, _intercept_rhs, _solve
+from .clearing import _coupled, _solve
 from .network import FinancialNetwork
 
 BISECT_REL_TOL = 1e-10
 BISECT_MAX_ITER = 200
+BRACKET_MAX_DOUBLINGS = 200
 
 
 class ModelError(ValueError):
@@ -342,15 +344,22 @@ class Uniform01:
 # ---------------------------------------------------------------------------
 # Partial expectations
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 QUAD_TOL = 1e-12  # largest relative gap between a split's halves and the whole
 QUAD_MAX_DEPTH = 48  # deepest split before the integral counts as divergent
 
 
+@functools.cache
+def _gl_rule():
+    # the 15-point rule, built on the first quadrature: numpy.polynomial
+    # costs every command that never integrates a few ms of import
+    return np.polynomial.legendre.leggauss(15)
+
+
 def _gauss_legendre(func, lo: float, hi: float) -> float:
+    nodes, weights = _gl_rule()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * float(_GL_WEIGHTS @ func(mid + half * _GL_NODES))
+    return half * float(weights @ func(mid + half * nodes))
 
 
 def adaptive_gauss_legendre(func, lo, hi):
@@ -509,46 +518,78 @@ def _next_default(g, target: np.ndarray, hint: float, cap) -> tuple[float, int]:
 
     ``g(q)`` evaluates the nondecreasing continuous ``g_i`` of every bank
     at one factor value.  One scalar search finds where the most fragile
-    bank turns solvent: the bracket doubles from ``hint``, then bisection
-    of ``[0, hi]`` runs until the bracket is below ``BISECT_REL_TOL``; the
-    bank is the lowest index still insolvent at the bracket's lower end.
+    bank turns solvent.  The bracket starts as ``[0, hint]``; ``hi``
+    doubles until every bank is solvent there, and each probe that leaves
+    a bank insolvent becomes ``lo``.  Regula falsi on ``F = g - target``
+    then shrinks the bracket below ``BISECT_REL_TOL``: the next probe is
+    the largest secant root of the banks insolvent at ``lo``, each through
+    its own ``F`` at both ends (the root of ``min_i F_i`` would stall at its
+    kinks), at least half a tolerance inside the bracket.  When one end
+    moves twice in a row the other end's ``F`` is halved (Illinois, Dowell
+    & Jarratt 1971); after three moves in a row, or when the estimate
+    leaves ``[lo, hi]``, the probe is the midpoint, so the bracket halves
+    at least once in four probes however stiff ``F`` is.  The bank is the
+    lowest index still insolvent at ``lo``.
+
     Only banks insolvent at 0 count (the others' supremum is 0).  ``cap``
     bounds the factor's support (quantile maps of a uniform factor cannot
-    be evaluated past 1); an uncapped search that never brackets gives inf.
+    be evaluated past 1).  A bank still insolvent after
+    ``BRACKET_MAX_DOUBLINGS`` doublings is never solvent (inf) if the last
+    doubling left its ``g`` where it was; if ``g`` still rose, the search
+    raises ``ModelError``.
     """
     top = np.inf if cap is None else cap
     probe = g if cap is None else (lambda q: g(min(q, cap - 1e-13)))
-    insolvent = g(0.0) < target
-    low = np.flatnonzero(insolvent)
+    g_lo = g(0.0)
+    low = np.flatnonzero(g_lo < target)
     if not low.size:
         return 0.0, 0
-    target = np.where(insolvent, target, -np.inf)
-    h = min(hint if np.isfinite(hint) and hint > 0.0 else 1.0, top)
-    g_hi = probe(h)
+    target = np.where(g_lo < target, target, -np.inf)
+    lo, hi = 0.0, min(hint if np.isfinite(hint) and hint > 0.0 else 1.0, top)
+    g_hi = probe(hi)
     todo = np.flatnonzero(g_hi < target)
-    expansions = 0
+    doublings = 0
     while todo.size:
-        if h >= top:
+        if hi >= top:
             return top, int(todo[0])
-        h = min(h * 2.0, top)
-        g_new = probe(h)
-        if np.any(g_new[todo] < g_hi[todo] - 1e-12 * np.maximum(1.0, np.abs(g_hi[todo]))):
+        if doublings == BRACKET_MAX_DOUBLINGS:
+            if np.all(g_hi[todo] <= g_lo[todo]):
+                return np.inf, int(todo[0])
+            raise ModelError(f"no solvency bracket after {doublings} doublings of the factor")
+        lo, g_lo, low = hi, g_hi, todo
+        hi = min(hi * 2.0, top)
+        g_hi = probe(hi)
+        if np.any(g_hi[todo] < g_lo[todo] - 1e-12 * np.maximum(1.0, np.abs(g_lo[todo]))):
             raise ModelError("endowment map decreased during bracketing")
-        expansions += 1
-        if expansions > 200:
-            return np.inf, int(todo[0])
-        g_hi = g_new
-        todo = todo[g_new[todo] < target[todo]]
-    lo, hi = 0.0, h
+        doublings += 1
+        todo = todo[g_hi[todo] < target[todo]]
+    f_lo, f_hi = g_lo - target, g_hi - target
+    side = streak = 0  # the end the last probes replaced (-1 lo, 1 hi), how many in a row
     for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * max(hi, 1.0):
+        tol = BISECT_REL_TOL * max(hi, 1.0)
+        if hi - lo <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        below = np.flatnonzero(probe(mid) < target)
+        q = 0.5 * (lo + hi)
+        if streak < 3:
+            fl = f_lo[low]
+            secant = lo + (hi - lo) * float(np.max(fl / (fl - f_hi[low])))
+            if lo <= secant <= hi:
+                q = secant
+        # half a tolerance inside, so a probe next to the root closes the bracket
+        q = min(max(q, lo + 0.5 * tol), hi - 0.5 * tol)
+        f = probe(q) - target
+        below = np.flatnonzero(f < 0.0)
+        moved = -1 if below.size else 1
+        streak = streak + 1 if moved == side else 1
+        side = moved
         if below.size:
-            lo, low = mid, below
+            lo, f_lo, low = q, f, below
+            if streak > 1:
+                f_hi *= 0.5
         else:
-            hi = mid
+            hi, f_hi = q, f
+            if streak > 1:
+                f_lo *= 0.5
     return 0.5 * (lo + hi), int(low[0])
 
 
@@ -570,7 +611,8 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     failure.  Maps affine in ``u = q**c`` (affine or power maps with
     exponents in ``{0, c}``) give the candidates as closed-form roots in
     ``u``, mapped back by ``u**(1/c)``; otherwise one scalar search
-    (``_next_default``) finds the largest candidate and its bank.
+    (``_next_default``, warm-started at the previous threshold) finds the
+    largest candidate and its bank.
 
     The sweep carries only ``A^{-1}``, the inverse of the coupled block
     ``A = I - K[T, T]`` of ``M(z)`` (``clearing._coupled``), and applies
@@ -580,6 +622,9 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     Every column of ``K`` sums to below 1 (``pi_soc > 0``, ``Gamma`` row sums below
     1), so ``A`` is strictly column diagonally dominant for every ``z`` and the
     bordering is elimination without pivoting on it: every pivot is positive.
+    ``Pi^T p_bar`` is computed once; a default changes only its own entry of
+    ``a_x(z)``, ``c(z)`` and the right-hand sides, and each rank-one update
+    of ``A^{-1}`` goes through one preallocated ``n x n`` buffer.
     Each rung is ``Delta_k = M^{-1} diag(a_x(z))`` and ``delta_k = M^{-1} c(z)``.
 
     On ``I_k = [q_{k+1}, q_k)`` (``q_0 = inf``, ``q_{n+1} = 0``) exactly the first
@@ -609,21 +654,28 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     EV, EE = np.zeros(n), np.zeros(n)
     # the block in buffers of n slots, filled to m: banks T[:m], KT[:m] = K[:, T]^T
     # and B[:m, :m] = A^{-1}; it starts as the held banks (empty when Gamma = 0)
-    T0, KT0 = _coupled(net, z, net.Gamma.any(axis=1))
+    held = net.Gamma.any(axis=1)
+    T0, KT0 = _coupled(net, z, held)
     m = T0.size
     T, KT, B = np.empty(n, dtype=int), np.empty((n, n)), np.empty((n, n))
     T[:m], KT[:m] = T0, KT0
     B[:m, :m] = _solve(np.eye(m) - KT0[:, T0].T, np.eye(m))
+    W = np.empty((n, n))  # each rank-one update of B, so B changes in place
+    # a_x(z), b(z) and the right-hand sides R0 at z = 0, changed bank by bank as z
+    # grows: c(z) = p_bar - b(z) Pi^T p_bar (clearing._intercept_rhs) and, on the
+    # affine branch, a_x(z) times the maps' two coefficients in u
+    a_x, b_L = np.ones(n), np.ones(n)
+    Pi_p = net.Pi.T @ net.p_bar
+    R0 = (net.p_bar - Pi_p)[:, None]
+    if affine is not None:
+        R0 = np.column_stack((R0, affine[0], affine[1]))
+    ax_d, bL_d = 1.0 - (1.0 - net.alpha_x), 1.0 - (1.0 - net.alpha_L)
     remaining = np.arange(n)
     q_prev = np.inf
 
     for k in range(n + 1):
         Tm, KTm, Bm = T[:m], KT[:m], B[:m, :m]
-        a_x = _external_share(net, z)
-        R = _intercept_rhs(net, z)[:, None]
-        if affine is not None:
-            R = np.column_stack((R, a_x * affine[0], a_x * affine[1]))
-        R += KTm.T @ (Bm @ R[Tm])
+        R = R0 + KTm.T @ (Bm @ R0[Tm])
         d = R[:, 0]
         q_k = 0.0
         if k < n:
@@ -653,24 +705,31 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
         EE[pick] = EV[pick]
         q_star[pick] = q_k
         order[k] = pick
-        remaining = np.delete(remaining, at)
-        slot = np.flatnonzero(Tm == pick)
-        if slot.size:
+        remaining = remaining[remaining != pick]
+        if held[pick]:
             # a held bank: swap it into the last slot and drop its row and column
-            t, m = int(slot[0]), m - 1
+            t, m = int(np.flatnonzero(Tm == pick)[0]), m - 1
             T[[t, m]], KT[[t, m]] = T[[m, t]], KT[[m, t]]
             B[[t, m], : m + 1] = B[[m, t], : m + 1]
             B[: m + 1, [t, m]] = B[: m + 1, [m, t]]
-            B[:m, :m] -= np.outer(B[:m, m], B[m, :m] / _pivot(B[m, m]))
+            np.multiply(B[:m, m, None], B[m, :m] / _pivot(B[m, m]), out=W[:m, :m])
+            B[:m, :m] -= W[:m, :m]
         # border the defaulter: its row of K scales by alpha_L, its column turns to Pi^T
         z[pick] = True
+        a_x[pick], b_L[pick] = ax_d, bL_d
+        R0[pick, 0] = net.p_bar[pick] - bL_d * Pi_p[pick]
+        if affine is not None:
+            R0[pick, 1:] = ax_d * affine[0][pick], ax_d * affine[1][pick]
         KT[:m, pick] *= net.alpha_L
-        KT[m] = net.Pi[pick] * (1.0 - (1.0 - net.alpha_L) * z)
-        u = B[:m, :m] @ KT[m, T[:m]]
-        v = KT[:m, pick] @ B[:m, :m]
-        s = _pivot(1.0 - v @ KT[m, T[:m]])
-        B[:m, :m] += np.outer(u / s, v)
-        B[:m, m], B[m, :m], B[m, m] = u / s, v / s, 1.0 / s
+        KT[m] = net.Pi[pick] * b_L
+        Bm, kt = B[:m, :m], KT[m, T[:m]]
+        u = Bm @ kt
+        v = KT[:m, pick] @ Bm
+        s = _pivot(1.0 - v @ kt)
+        u /= s
+        np.multiply(u[:, None], v, out=W[:m, :m])
+        Bm += W[:m, :m]
+        B[:m, m], B[m, :m], B[m, m] = u, v / s, 1.0 / s
         T[m] = pick
         m += 1
         q_prev = q_k
@@ -693,9 +752,10 @@ def _interval_moments(f, dist):
 
     A discrete law sums each map over its atoms in ``I``.  Under a lognormal or
     uniform law a ``PowerMap`` column is ``shift P(I) + coef E[q**c; I]``, one
-    ``E[q**c; I]`` per distinct exponent: ``E[q**c] P_c(I)`` from one ``tails`` call
-    (``P_c`` the lognormal tilted by ``q**c``), or ``(hi * hi**c - lo * lo**c) / (c + 1)``
-    with ``[lo, hi] = I`` clipped to ``[0, 1]``.  Other columns integrate (``_quadrature_pe``).
+    ``E[q**c; I]`` per distinct exponent: ``E[q**c] P_c(I)`` from the tilted tails at
+    both endpoints (``P_c`` the lognormal tilted by ``q**c``), or
+    ``(hi * hi**c - lo * lo**c) / (c + 1)`` with ``[lo, hi] = I`` clipped to ``[0, 1]``.
+    Other columns integrate (``_quadrature_pe``).
     """
     if isinstance(dist, PointMass):
         def discrete(a: float, b: float):
@@ -714,10 +774,17 @@ def _interval_moments(f, dist):
     col = np.searchsorted(expos, expo)
     if isinstance(dist, LogNormal):
         scale = np.array([dist.moment(c) for c in expos])
+        # LogNormal.tails at one t, with its operation order, in scalar floats
+        mu, sigma, root2 = dist.mu, dist.sigma, math.sqrt(2.0)
+        tops = [mu + c * sigma * sigma for c in (0.0, *expos)]
+
+        def tails(t: float):
+            log_t = -math.inf if t <= 0.0 else math.log(t)
+            return [0.5 * math.erfc(-((x - log_t) / sigma) / root2) for x in tops]
 
         def tilted(a: float, b: float):
-            tails = dist.tails([0.0, *expos], [b, a])
-            return tails[1, 0] - tails[0, 0], scale * (tails[1, 1:] - tails[0, 1:])
+            (pa, *ta), (pb, *tb) = tails(a), tails(b)
+            return pa - pb, scale * (np.array(ta) - np.array(tb))
     elif isinstance(dist, Uniform01):
         c = np.array(expos)
 

@@ -20,7 +20,7 @@ from .clearing import (
     greatest_clearing,
     greatest_clearing_batch,
 )
-from .comonotonic import norm_ppf
+from .comonotonic import BRACKET_MAX_DOUBLINGS, ModelError, norm_ppf
 from .network import FinancialNetwork
 
 REGION_MAX_BANKS = 12
@@ -321,34 +321,38 @@ def thresholds_by_clearing_bisection(net: FinancialNetwork, model) -> np.ndarray
 
     Uses only the fixed-point clearing solver, never the threshold sweep's
     affine maps, so it is an independent check of the threshold construction.
+    The bracket doubles from 1; a bank still insolvent after
+    ``BRACKET_MAX_DOUBLINGS`` doublings is never solvent (inf) if the last
+    doubling did not raise its wealth, and raises ``ModelError`` if it did.
     """
 
-    def solvent(i: int, q: float) -> bool:
-        res = greatest_clearing(net, model.endowments(np.float64(q)))
-        return res.V[i] >= -ZERO_TOL
+    def wealth(i: int, q: float) -> float:
+        return float(greatest_clearing(net, model.endowments(np.float64(q))).V[i])
 
     out = np.empty(net.n)
     for i in range(net.n):
-        if solvent(i, 0.0):
+        v_lo = wealth(i, 0.0)
+        if v_lo >= -ZERO_TOL:
             out[i] = 0.0
             continue
-        hi = 1.0
-        expansions = 0
-        while not solvent(i, hi):
-            hi *= 2.0
-            expansions += 1
-            if expansions > 200:
-                out[i] = np.inf
+        hi, v_hi, doublings = 1.0, wealth(i, 1.0), 0
+        while v_hi < -ZERO_TOL and doublings < BRACKET_MAX_DOUBLINGS:
+            hi, v_lo, v_hi = 2.0 * hi, v_hi, wealth(i, 2.0 * hi)
+            doublings += 1
+        if v_hi < -ZERO_TOL:
+            if v_hi > v_lo:
+                raise ModelError(f"bank {i}: no solvency bracket after {doublings} "
+                                 "doublings of the factor")
+            out[i] = np.inf
+            continue
+        lo = 0.0
+        for _ in range(THRESHOLD_MAX_ITER):
+            if hi - lo <= THRESHOLD_REL_TOL * max(hi, 1.0):
                 break
-        else:
-            lo = 0.0
-            for _ in range(THRESHOLD_MAX_ITER):
-                if hi - lo <= THRESHOLD_REL_TOL * max(hi, 1.0):
-                    break
-                mid = 0.5 * (lo + hi)
-                if solvent(i, mid):
-                    hi = mid
-                else:
-                    lo = mid
-            out[i] = hi
+            mid = 0.5 * (lo + hi)
+            if wealth(i, mid) >= -ZERO_TOL:
+                hi = mid
+            else:
+                lo = mid
+        out[i] = hi
     return out

@@ -286,27 +286,27 @@ PARENT_VALUES = {
     ),
     ('two', 'per-bank', 1.0, 'lower'): (
         [0, 1],
-        [0.9556610347644892, 0.37916525816368196],
-        [0.7089284262369091, 0.8121730067073185],
-        [1.3472347577528634, 4.089460943414454],
+        [0.9556610347643429, 0.3791652581470689],
+        [0.7089284262369091, 0.8121730067073183],
+        [1.347234757752864, 4.089460943414456],
     ),
     ('two', 'per-bank', 1.0, 'upper'): (
         [0, 1],
-        [0.9285190322261769, 0.2223147256267946],
-        [0.8116396812516762, 0.9002597412802515],
-        [0.5843824113239924, 4.279919321080224],
+        [0.9285190322120916, 0.22231472559844548],
+        [0.8116396812516762, 0.9002597412802517],
+        [0.5843824113239929, 4.279919321080224],
     ),
     ('two', 'per-bank', 0.5, 'lower'): (
         [0, 1],
-        [0.9556610347644892, 0.831573561449371],
-        [0.45317027933397636, 0.4711229841761616],
-        [1.3472347577528634, 3.571614618033421],
+        [0.9556610347643429, 0.8315735614251905],
+        [0.45317027933474563, 0.4711229841811389],
+        [1.347234757752864, 3.571614618033581],
     ),
     ('two', 'per-bank', 0.5, 'upper'): (
         [0, 1],
-        [0.9285190322261769, 0.7400638547049565],
-        [0.5038644174070892, 0.526106429866755],
-        [0.5843824113239924, 3.4887791917808464],
+        [0.9285190322120916, 0.7400638547028804],
+        [0.5038644174094424, 0.5261064298672503],
+        [0.5843824113239929, 3.488779191796801],
     ),
     ('five', 'common', 1.0, 'lower'): (
         [4, 2, 1, 3, 0],
@@ -371,61 +371,61 @@ PARENT_VALUES = {
     ('five', 'per-bank', 1.0, 'lower'): (
         [4, 3, 2, 1, 0],
         [
-            0.5195551499307385, 0.6499326756678707, 0.7365682125289486, 0.7738393261247942,
-            1.1544898856955115,
+            0.5195551498798575, 0.6499326756022888, 0.7365682125446283, 0.7738393261581912,
+            1.1544898857068446,
         ],
         [
-            0.7633988149999711, 0.7234200205969568, 0.6852705805593367, 0.658911981751066,
+            0.763398814999971, 0.7234200205969568, 0.6852705805593364, 0.658911981751066,
             0.5436853145495436,
         ],
         [
-            2.2411375936488356, 1.691813380930125, 2.701715612910921, 1.6841746057587779,
-            2.0820706750131404,
+            2.2411375936488347, 1.6918133809301252, 2.7017156129109234, 1.6841746057587779,
+            2.0820706750131412,
         ],
     ),
     ('five', 'per-bank', 1.0, 'upper'): (
         [4, 3, 2, 1, 0],
         [
-            0.3507072512025533, 0.5183215715696976, 0.6260082235914239, 0.6808587226253433,
-            1.0719233363342937,
+            0.3507072511885371, 0.5183215715571086, 0.6260082236081121, 0.6808587225756391,
+            1.0719233363361802,
         ],
         [
-            0.862791628732808, 0.8104957569672097, 0.7604043378527803, 0.7256357789479184,
-            0.5928541699851768,
+            0.8627916287328078, 0.8104957569672095, 0.7604043378527803, 0.7256357789479183,
+            0.5928541699851769,
         ],
         [
-            1.8150800837185674, 1.4053714665331054, 2.365779880940123, 1.5703439289704375,
-            1.9289150968896378,
+            1.8150800837185672, 1.405371466533106, 2.3657798809401216, 1.570343928970438,
+            1.928915096889639,
         ],
     ),
     ('five', 'per-bank', 0.5, 'lower'): (
         [4, 3, 2, 1, 0],
         [
-            0.82212329060719, 0.82212329060719, 0.82212329060719, 0.8855314272600231,
-            1.1544898856955115,
+            0.8221232906082233, 0.8221232906082233, 0.8221232906082233, 0.8855314272589658,
+            1.1544898857068446,
         ],
         [
-            0.505816838746189, 0.4738523842760822, 0.46138675223597503, 0.4206649378773848,
-            0.3563293210206344,
+            0.5058168387459828, 0.4738523842758479, 0.461386752235737, 0.4206649378775074,
+            0.3563293210192963,
         ],
         [
-            2.0101611311137018, 1.6155016633926973, 2.6807632381538675, 1.6412336424867087,
-            2.0820706750131404,
+            2.0101611311125023, 1.6155016633912302, 2.680763238154053, 1.6412336424853806,
+            2.0820706750131412,
         ],
     ),
     ('five', 'per-bank', 0.5, 'upper'): (
         [4, 3, 2, 1, 0],
         [
-            0.7149519420369419, 0.7149519420369419, 0.7149519420369419, 0.7928018621257964,
-            1.0719233363342937,
+            0.7149519419963172, 0.7149519419963172, 0.7149519419963172, 0.7928018621101779,
+            1.0719233363361802,
         ],
         [
-            0.5797016796203152, 0.5350822000238602, 0.5161353565544846, 0.4648370966291825,
-            0.3875834996107017,
+            0.5797016796299073, 0.5350822000347637, 0.5161353565656047, 0.4648370966351835,
+            0.3875834996118806,
         ],
         [
-            1.4688151523358268, 1.3042701891990856, 2.33722232505161, 1.5199205723825608,
-            1.9289150968896378,
+            1.468815152354657, 1.3042701892069595, 2.3372223250547512, 1.519920572382313,
+            1.928915096889639,
         ],
     ),
 }

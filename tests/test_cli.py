@@ -126,6 +126,27 @@ def test_bounds_finite_loads_no_numpy_ma(tmp_path, two_bank_csv):
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "model, loaded",
+    [("model_power.json", False), ("model_tabulated.json", True)],
+)
+def test_expect_loads_numpy_polynomial_only_to_integrate(tmp_path, two_bank_csv, model, loaded):
+    # power maps take closed forms; only a tabulated map's quadrature builds
+    # the Gauss-Legendre rule, and with it imports numpy.polynomial
+    path = tmp_path / model
+    path.write_text(json.dumps(GOLDEN_INPUTS[model]))
+    code = (
+        "import sys\n"
+        "from netval.cli import main\n"
+        f"argv = ['expect', {two_bank_csv!r}, {str(path)!r}, '--output', {os.devnull!r}]\n"
+        "assert main(argv) == 0\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
+
+
 def test_q_star(two_bank_csv, bench_model):
     proc = run_cli("q-star", two_bank_csv, bench_model, check=True)
     rows = parse_csv(proc.stdout)
@@ -726,7 +747,7 @@ GOLDEN_SHEETS = (
 GOLDEN_CALLS = [
     pytest.param(
         "bounds {dir}/net.csv {dir}/bounds_lognormal.json",
-        "a82e340deb7dd352892493e65fcc60b148ca0fa21bdb26e9877d2269a4a37db4",
+        "2656b27051f98ff0a36f694a0934ed87e131d2b85591e58af8ce31d96498b198",
         id="bounds-lognormal-conditional",
     ),
     pytest.param(
@@ -741,28 +762,28 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep T --grid 0.5,1,2",
-        "e2c8b2f26fe83854713f459b2106a230d669407ca36d6befe563a525c4293040",
+        "8ec0eabbf63d1c55f2271e68f880a0f9dc2028e277b292dd491b34bb1027fe91",
         id="statics-T",
     ),
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep alpha --grid 0.5,1",
-        "d7ae9866bd77e4219c231fb39672b4b7f619de7a5d4b5375119c49a211f76970",
+        "7e6c9c4a14aa5a27b9eaf881664aa3b356b5d80dca45cd568b36149ef64d6335",
         id="statics-alpha",
     ),
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep ratio --route liabilities"
         " --grid 0.8,1.2,1.6",
-        "4e9dc400d2afe70af2c4dd1f173feeb7d5f937fe61fd4b7deedf77e76a89db8f",
+        "22236603543117c2c5db534e62ca35b5e5b0ff44aed1ce6cfc549011440c14d7",
         id="statics-ratio-liabilities",
     ),
     pytest.param(
         "price {dir}/net.csv {dir}/params.json --which both --baseline risky",
-        "b4f59df7bc69895efd8ecc99f03cdbebc17edfa580ca7d36bf2f00b739a8a7b0",
+        "431ab3e3006aa82e99eabe681d4463e8a7e14dc01b52559fce6f4f947218ac2a",
         id="price-both-risky",
     ),
     pytest.param(
         "price {dir}/partial.csv {dir}/params.json --which lower --force",
-        "db132a341be38707597d96582e5f2ab4f2758163058a79d6b73f3c7e0ff47cec",
+        "e8b5221ea7ff8e2c10f00d925b80eff189aee77d3620dfde00c63dcbdbe57027",
         id="price-lower-force-partial",
     ),
     pytest.param(
@@ -782,12 +803,12 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "expect {dir}/net.csv {dir}/model_power.json",
-        "e1c403e2b3a514a208bff8f9b351ca79f5cc6149d365167cde17db9aacad1183",
+        "1255f5873b81bf5312e354fb42c545f380f0fa15ea1ed602d9fd8f5ae1a00cb5",
         id="expect-power",
     ),
     pytest.param(
         "expect {dir}/net.csv {dir}/model_tabulated.json",
-        "c623c813f84231c8f0e6fdf9c4ce40e37b1f97b1fbb4b48056b35253282b60a3",
+        "25cf3276249b37662fa2ee643c6932478f5908898bf9f4899307ed4a4cfbfe68",
         id="expect-tabulated",
     ),
     pytest.param(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_map, make_two_bank, random_net, upper_picard_clearing
+from helpers import (
+    dense_map,
+    make_two_bank,
+    random_net,
+    search_path_models,
+    upper_picard_clearing,
+)
 from netval import (
     AffineMap,
     Empirical,
@@ -28,10 +35,12 @@ from netval import (
     partial_expectation,
     simulate,
     solvency_thresholds,
+    thresholds_by_clearing_bisection,
 )
 from netval.capm import CapmParams, _eta_maps, price_and_cap
 from netval.clearing import ZERO_TOL
-from netval.comonotonic import _pivot, norm_cdf, norm_ppf
+from netval import comonotonic
+from netval.comonotonic import _gl_rule, _pivot, norm_cdf, norm_ppf
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +52,13 @@ def test_pe_full_mass_unit_mean():
     prob, pe = partial_expectation(dist, AffineMap(0.0, 1.0), 0.0, np.inf)
     assert abs(prob - 1.0) < 1e-12
     assert abs(pe - 1.0) < 1e-12
+
+
+def test_quadrature_rule_is_gauss_legendre_15():
+    # built on the first quadrature, with the bits of the rule built at import before
+    nodes, weights = _gl_rule()
+    want = np.polynomial.legendre.leggauss(15)
+    assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
 
 
 def test_pe_empty_interval():
@@ -530,38 +546,39 @@ def test_thresholds_match_upper_picard_under_cross_holdings(alpha_x, alpha_L):
 # ---------------------------------------------------------------------------
 # scalar search of the non-affine sweep
 
-# sha256 of order, q_star, EV and EE per case, from a bisection of every
-# still-solvent bank at its own factor value
+# sha256 of order, q_star, EV and EE per case, from the per-bank regula-falsi
+# search; the order digests are those of bisecting every still-solvent bank
+# at its own factor value
 BISECTION_PINS = {
     "n=10": (
         "a2c96cb52798917939b74d3b8d11763c2238e40435212f0e7d1a9117a167171e",
-        "d3b783f4de1701d141fa3e7b67b193ac910c318962ad918066e9da37c1fef840",
-        "e8095dd585bd4b8779c2588653f484dca1ef39ffaddc7f92c4cc7f921c49c974",
-        "992df32c00405c4f629c9fe57d522af5b674cea30ab32a37cc522977798dc0ce",
+        "428c27b727aacf8c3ad7aa028d5a503ac2b7a3b989cd645eb096071a34a35e63",
+        "c674500f752194d295bd5a456e726879bde9ec8cc9131dcaa3adac942d1ee5a6",
+        "5d1e7a8334251cc351370f83820fd9790a3296c017a06cdae4f4b07d12dd9ee2",
     ),
     "capm-87-lower": (
         "71f66770328c03afa49c4d8121c1a877da46720ef4274f67d710b9b9ef2e5cfa",
-        "79fe84d3304b9581b5715253bc0db6d4decc6285db092f058882d23ce8ff419b",
-        "5039bdb5958275885dfa9300f86eb0e00fa576a41ba7f2f97d1e6e957d7ce88a",
-        "cc09a1a4a639a1312f913a68e9927d637db2b1b29431eb8abc236b4dca911b00",
+        "9e8c37c8344b45887efb285cbde3bde6bdea7fe79e41982abbfeec9ede0952d1",
+        "9e482583afd1fbd7ab6e36aa3387ee50c9ec75616ae2078cdcc06618299cbefc",
+        "217ad082106b41e024d30cbc32b7e3c9105a80d2ca6eb8f05685345295e1ee2c",
     ),
     "capm-87-upper": (
         "f88645582cabd120329a26770bc8a1a6844c0c0ad03a9633a4beb36635eff79d",
-        "0c760f7f37d87c8279d1a25f8df43c44cda9b1f2233b9dd1723517ef957f91d8",
-        "e5841b7ced840efff0f5822c17a45646b827de8396b4e8ae1822a34dc4ad7a22",
-        "55af7b2c8e6e611ce908a6fbb904b146c31e1715e9c28b70bb0b65d69a00aa90",
+        "ce9c9ab40031cccb5c0923fa74d3863e16d3ee2f62987459351531a309ca003e",
+        "a7671945fc2c79907c8ce73292ab6d012f0a5bcb350d606e1034f9f09945233f",
+        "7ffe8676d76f163f24cabc0fb0cd4fbb7d3f52fbb3ce88d3253f9611cdca5415",
     ),
     "gamma-power": (
         "b321371ffcdc61030e50c0b451f932ce448ad4231545415cd90376ed95f3aa5d",
-        "4a3ef65e36f2c304ed72504db5a2d718c3276cde004949bc44dbcd0e5a1e1d57",
-        "7934b1ce5e82226fbbce184fa7a8fe2ddedfef3bcf272e71414c6ed567ba1bb8",
-        "7decc3aacd4e097ab3d7587861b79aad4efaec3a1c14318905ba22874abd4ccc",
+        "f5d8c0d76b51fa372113ad2f82e9a01365b4287d3c285af05ec83d7c662916cb",
+        "b8d8e637753fea667e1e68580e5207a404b483838c8222700fdd4cd6ddb2b405",
+        "71e258526383c23df5b4fbc737c987385120cff9212090a2e4a0182f730b2ff3",
     ),
     "tied-tabulated": (
         "e0d14f2a841e22d47e5f6253c99e90fd22c368c80e7d6033768256374dab8806",
-        "1aa2266006c1b51a4acc6930291237efac3790c6da9d2171e8c43c76ca292f5c",
-        "a256bd078e2fcdb4dedcda09d3907532879183a2988b76a1525c636c57555cb2",
-        "2892c4c66090ab9a9f8749331694bc9cdb5ddeba96cb9f2c54c1f03239b09a1a",
+        "05aa209fbae199c4be42bfd98de5dcd0d73af6f8e45deababf9a543799a38479",
+        "a6c2b228fd9f7285854fe8e58f4f55d64425f8b23bf6347d6aef354d329101a7",
+        "64dd7b5be1b6ac11409637401ec840fafafa5190af27bd9988d14ed3c927c34e",
     ),
 }
 
@@ -605,8 +622,9 @@ def _bisection_case(name):
 
 @pytest.mark.parametrize("name", sorted(BISECTION_PINS))
 def test_bisection_thresholds_pinned(name):
-    # one scalar search per sweep step must keep the bits of bisecting every
-    # still-solvent bank at its own factor value
+    # one scalar search per sweep step: the order of bisecting every
+    # still-solvent bank at its own factor value, q_star within the bracket
+    # tolerance of it (checked against the parent when these were pinned)
     net, model = _bisection_case(name)
     ev = expected_values(net, model)
     th = ev.thresholds
@@ -720,7 +738,7 @@ def test_bisection_probes_one_factor_value(two_bank):
         _RecordingMap.shapes.clear()
         th = solvency_thresholds(two_bank, model)
         assert np.all((th.q_star > 0.0) & np.isfinite(th.q_star))
-        assert len(_RecordingMap.shapes) > 2 * 20  # both maps, over 20 probes each
+        assert len(_RecordingMap.shapes) > 2 * 10  # both maps, over 10 probes each
         assert set(_RecordingMap.shapes) == {()}
 
 
@@ -744,6 +762,76 @@ def test_bisection_saturating_map_never_solvent(two_bank):
     )
     th = solvency_thresholds(two_bank, model)
     assert np.all(np.isinf(th.q_star))
+
+
+def test_bisection_unbracketed_rising_map_raises(two_bank):
+    # the maps still rise after 200 doublings of the factor, where they are
+    # still below every target: no bracket, and no evidence of "never solvent"
+    model = FactorModel([PowerMap(0.1, 1e-3), PowerMap(0.1, 2e-3)], LogNormal(0.0, 1.0))
+    with pytest.raises(ModelError, match="no solvency bracket after 200 doublings"):
+        solvency_thresholds(two_bank, model)
+
+
+def test_search_bisects_when_one_end_keeps_moving():
+    # steep power maps: after a default at q ~ 2e6, F at the bracket's top is
+    # ~1e72 against ~1 at its bottom, so regula falsi creeps up from 0 and
+    # Illinois halvings alone would need ~240 probes; forced midpoints keep
+    # the search inside its iteration cap
+    L = [[0.0, 0.86, 0.0, 1.0], [1.27, 0.0, 0.58, 0.96], [1.44, 1.05, 0.0, 1.46]]
+    net = build_network(L, 0.3, 0.3)
+    maps = [PowerMap(1.76, 11.8, 0.37), PowerMap(2.56, 11.15, 0.01), PowerMap(1.11, 0.074, 0.1)]
+    model = FactorModel(maps, LogNormal(-0.2, 0.22))
+    th = solvency_thresholds(net, model)
+    ref = thresholds_by_clearing_bisection(net, model)
+    assert th.q_star[2] > 1e6
+    assert np.allclose(th.q_star, ref, rtol=1e-9, atol=0.0), (th.q_star, ref)
+
+
+def _evaluations_per_step(net, model, monkeypatch):
+    # g evaluations of each _next_default call, one call per sweep step
+    search, counts = comonotonic._next_default, []
+
+    def counted(g, *args):
+        calls = [0]
+
+        def g_counted(q):
+            calls[0] += 1
+            return g(q)
+
+        out = search(g_counted, *args)
+        counts.append(calls[0])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(comonotonic, "_next_default", counted)
+        solvency_thresholds(net, model)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["capm-87-lower", "capm-87-upper"])
+def test_search_evaluations_per_step(name, monkeypatch):
+    # the regula-falsi search needs a median of at most 10 evaluations of g
+    # per step, bracket included (bisection from 0 took 36); the count is
+    # deterministic
+    net, model = _bisection_case(name)
+    counts = _evaluations_per_step(net, model, monkeypatch)
+    assert len(counts) == net.n
+    assert statistics.median(counts) <= 10, counts
+
+
+# sha256 of the concatenated orders of search_path_models(), taken when each
+# step bisected [0, hi] down to BISECT_REL_TOL
+SEARCH_ORDERS_DIGEST = "d97169bfb3fef633ffd41ebc856d728186ef71968af1485b9724ac38f15ce1fe"
+
+
+def test_search_orders_unchanged():
+    # the search moves thresholds within its tolerance but must not reorder
+    # any default on 316 models: near-ties, mirrored pairs, exact ties in
+    # rings, cross-holdings, partial recovery, tabulated maps, uniform caps
+    h = hashlib.sha256()
+    for net, model in search_path_models():
+        h.update(solvency_thresholds(net, model).order.astype("<i8").tobytes())
+    assert h.hexdigest() == SEARCH_ORDERS_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -904,35 +992,35 @@ def _pinned_models():
 PARENT_VALUES = {
     ('ev', 'lognormal-mixed', 1.0): [
         [2, 0, 3, 1],
-        [0.7264921588885174, 0.315721169464274, 0.735520152478178, 0.5689900586829311],
-        [-0.4611820941813657, 0.42487555945603295, -0.2958587166387059, 0.6787984337633822],
-        [2.139044335490406, 1.7766421635372924, 1.7668530859784304, 1.2394806484252476],
-        [0.09977357032822852, 0.5482333959187408, 0.2372881973828636, 1.0393177853381346],
-        [1.3053766214486866, 0.5646369800474863, 1.3333333333139308, 0.9367185860315828],
+        [0.7264921588893429, 0.3157211694528427, 0.7355201524737645, 0.5689900586854619],
+        [-0.4611820941813657, 0.42487555945603306, -0.2958587166387059, 0.6787984337633821],
+        [2.1390443354904063, 1.7766421635372924, 1.7668530859784304, 1.2394806484252479],
+        [0.09977357032822845, 0.5482333959187408, 0.2372881973828636, 1.0393177853381343],
+        [1.3053766214511948, 0.5646369800334259, 1.3333333333, 0.9367185860362557],
     ],
     ('ev', 'lognormal-mixed', 0.7): [
         [2, 0, 3, 1],
-        [0.7264921588885174, 0.48389724317258476, 0.735520152478178, 0.6703758046665932],
-        [-1.058301677120875, -0.011212646698644912, -0.7590810565976998, 0.2725283357253727],
-        [1.5419247525508966, 1.4535489705397593, 1.3036307460194365, 0.8699552201744221],
-        [0.09977357032822852, 0.43523838276159604, 0.2372881973828636, 1.0025731155509507],
-        [1.3053766214486866, 0.7935219917619876, 1.3333333333139308, 1.152068775921868],
+        [0.7264921588893429, 0.48389724315880445, 0.7355201524737645, 0.670375804641906],
+        [-1.0583016771155607, -0.011212646688457395, -0.7590810565912983, 0.2725283357390992],
+        [1.541924752556211, 1.4535489705481734, 1.3036307460258378, 0.8699552201879742],
+        [0.09977357032822845, 0.4352383827633693, 0.2372881973828636, 1.002573115551125],
+        [1.3053766214511948, 0.7935219917407387, 1.3333333333, 1.1520687758610073],
     ],
     ('ev', 'lognormal-power', 1.0): [
         [2, 1, 0, 3],
-        [0.6105202859906919, 0.6320701033992062, 0.7896268902564243, 0.16656818425955788],
-        [-0.14482891876448362, -0.09171931802331779, -0.23385713436909866, 0.4342388236396909],
-        [2.3598883924377447, 1.4515493568821165, 1.3303531795454182, 1.5682957322097573],
-        [0.195282688797772, 0.35673132509456584, 0.735789686085483, 0.4659430914299337],
-        [1.0175626205872843, 1.0632213181482069, 1.5275252316496335, 0.3868698684593147],
+        [0.6105202859914544, 0.6320701034152418, 0.7896268902662993, 0.1665681842152149],
+        [-0.1448289187644838, -0.09171931802331793, -0.23385713436909888, 0.4342388236396908],
+        [2.3598883924377443, 1.4515493568821163, 1.330353179545418, 1.5682957322097575],
+        [0.19528268879777197, 0.3567313250945658, 0.7357896860854829, 0.4659430914299334],
+        [1.0175626205888513, 1.0632213181832486, 1.5275252316901329, 0.38686986840611004],
     ],
     ('ev', 'lognormal-power', 0.7): [
         [2, 1, 0, 3],
-        [0.6721949204195069, 0.6721949204195069, 0.7896268902564243, 0.4269298791816615],
-        [-0.7392085937276878, -0.49478519931831233, -0.6108271296611176, 0.024074833322670075],
-        [1.7689500203395978, 1.0656875540432877, 0.9533831842533993, 1.2996127716278063],
-        [0.19184138593271458, 0.33952724663840006, 0.735789686085483, 0.32446206169486386],
-        [1.1565671536147146, 1.1565671536147146, 1.5275252316496335, 0.7098670728417854],
+        [0.6721949204383015, 0.6721949204383015, 0.7896268902662993, 0.426929879149025],
+        [-0.7392085937392938, -0.4947851993322621, -0.6108271296696343, 0.024074833333322554],
+        [1.7689500203299768, 1.065687554030819, 0.9533831842448826, 1.299612771645094],
+        [0.19184138593072952, 0.3395272466369189, 0.7357896860854829, 0.32446206168822855],
+        [1.1565671536613333, 1.1565671536613333, 1.5275252316901329, 0.7098670727960331],
     ],
     ('ev', 'pointmass-affine', 1.0): [
         [2, 0, 1, 3],
@@ -1014,35 +1102,35 @@ PARENT_VALUES = {
     ],
     ('capm', 'two', 1.0, 'lower'): [
         [0.4919673329069584, 0.6935048159735864],
-        [0.16084111885117508, 3.2827424345071914],
+        [0.16084111885117514, 3.282742434507192],
     ],
     ('capm', 'two', 1.0, 'upper'): [
-        [0.5327511595522942, 0.7775560820549119],
-        [0.005156650641792348, 3.0639216245365897],
+        [0.5327511595522941, 0.7775560820549118],
+        [0.00515665064179238, 3.0639216245365906],
     ],
     ('capm', 'two', 0.6, 'lower'): [
-        [0.2742346900562206, 0.4435236200481429],
-        [0.16084111885117508, 2.6617132680103786],
+        [0.27423469006003354, 0.443523620056487],
+        [0.16084111885117514, 2.6617132680265567],
     ],
     ('capm', 'two', 0.6, 'upper'): [
-        [0.27006711449512205, 0.4886984479394572],
-        [0.005156650641792348, 2.2795160086977946],
+        [0.27006711449361165, 0.48869844793303546],
+        [0.00515665064179238, 2.2795160086953135],
     ],
     ('capm', 'four', 1.0, 'lower'): [
-        [0.8851748347845813, 0.9042227930349721, 0.7851791710055377, 0.8729172771329025],
-        [1.6700508850019418, 3.205671179607071, 1.5016273172383252, 3.1355434591951408],
+        [0.8851748347845814, 0.9042227930349721, 0.7851791710055377, 0.8729172771329027],
+        [1.6700508850019415, 3.2056711796070707, 1.501627317238325, 3.135543459195141],
     ],
     ('capm', 'four', 1.0, 'upper'): [
-        [0.936250788902078, 0.9358776896521973, 0.8340960683516331, 0.9159259042399918],
-        [1.5792146692172613, 3.200630897177889, 1.4198786063957811, 3.127373083733374],
+        [0.936250788902078, 0.9358776896521971, 0.8340960683516331, 0.9159259042399915],
+        [1.5792146692172608, 3.20063089717789, 1.4198786063957811, 3.1273730837333744],
     ],
     ('capm', 'four', 0.6, 'lower'): [
-        [0.7892754844328562, 0.82631688564106, 0.6445781373226358, 0.7676879553171773],
-        [1.6675503064967618, 3.133654139255529, 1.5016273172383252, 3.111879640301711],
+        [0.7892754844191724, 0.8263168856604594, 0.6445781373385587, 0.7676879552995741],
+        [1.6675503064922554, 3.133654139252334, 1.501627317238325, 3.1118796403057005],
     ],
     ('capm', 'four', 0.6, 'upper'): [
-        [0.8960384967177738, 0.9006870698897945, 0.709144747717236, 0.8361758423919045],
-        [1.541319193984265, 3.137872872828563, 1.4198786063957811, 3.104191797748452],
+        [0.8960384967030692, 0.9006870699116801, 0.7091447477231383, 0.8361758423906338],
+        [1.5413191939868802, 3.137872872819369, 1.4198786063957811, 3.104191797749044],
     ],
 }
 

@@ -12,7 +12,10 @@ from netval import (
     CapmParams,
     FactorModel,
     LogNormal,
+    ModelError,
     OracleError,
+    PowerMap,
+    TabulatedMap,
     build_network,
     classify,
     classify_batch,
@@ -366,6 +369,17 @@ def test_bisection_oracle_matches_closed_form(two_bank):
     analytic = solvency_thresholds(two_bank, model)
     oracle = thresholds_by_clearing_bisection(two_bank, model)
     assert np.allclose(analytic.q_star, oracle, rtol=1e-9)
+
+
+def test_bisection_oracle_never_solvent_or_unbracketed(two_bank):
+    # maps saturating below every target leave the wealth flat after 200
+    # doublings: never solvent; maps still rising there have no bracket
+    flat = TabulatedMap([0.0, 1.0], [0.0, 1.0])
+    saturating = FactorModel([flat, flat], LogNormal(0.0, 1.0))
+    assert np.all(np.isinf(thresholds_by_clearing_bisection(two_bank, saturating)))
+    rising = FactorModel([PowerMap(0.1, 1e-3), PowerMap(0.1, 2e-3)], LogNormal(0.0, 1.0))
+    with pytest.raises(ModelError, match="no solvency bracket after 200 doublings"):
+        thresholds_by_clearing_bisection(two_bank, rising)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
