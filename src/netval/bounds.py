@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import greatest_clearing, greatest_clearing_batch
+from .clearing import greatest_clearing
 from .comonotonic import (
     FactorModel,
     LogNormal,
@@ -27,6 +27,7 @@ from .comonotonic import (
     expected_values,
 )
 from .network import FinancialNetwork
+from .oracle import exact_expectations
 
 
 class BoundsError(ValueError):
@@ -125,11 +126,8 @@ def comonotonic_lower(net: FinancialNetwork, marg: MarginalSet) -> BoundResult:
     ms = marg.marginals
 
     if all(isinstance(m, PointMass) for m in ms):
-        Z, w = _finite_comonotonic_support(ms)
-        V, p, E, _ = greatest_clearing_batch(net, Z)
-        return BoundResult(
-            EV=w @ V, Ep=w @ p, EE=w @ E, E_soc=float(w @ (p @ net.pi_soc))
-        )
+        ex = exact_expectations(net, *_finite_comonotonic_support(ms))
+        return BoundResult(EV=ex.EV, Ep=ex.Ep, EE=ex.EE, E_soc=ex.E_soc)
 
     if all(isinstance(m, LogNormal) for m in ms):
         # F_i^{-1}(U) = e^{mu_i} q^{sigma_i} for the factor q = e^{Phi^{-1}(U)}

@@ -48,7 +48,9 @@ def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     uses) keep full assets; defaulting banks keep ``alpha_x`` of external
     and ``alpha_L`` of interbank assets.  Interbank assets are the payments
     ``p_bar - max(-V, 0)`` received plus the held shares
-    ``Gamma^T max(V, 0)`` of other banks' equity, as in ``_coupled``.
+    ``Gamma^T max(V, 0)`` of other banks' equity, as in ``_block_inverse``.
+    Its haircuts are written out here, not taken from ``_haircuts``, so it
+    stays a reference independent of the affine solves.
     """
     x = np.asarray(x, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -59,16 +61,48 @@ def psi_star(net: FinancialNetwork, x, V) -> np.ndarray:
     return ax * x + aL * (net.Pi.T @ pay + net.Gamma.T @ np.maximum(V, 0.0)) - net.p_bar
 
 
-def _coupled(net: FinancialNetwork, z: np.ndarray, held: np.ndarray):
-    """``(T, KT)``: ``M(z) = I - K`` with ``K = diag(b) [Pi^T diag(z) + Gamma^T diag(1 - z)]``,
-    ``b = 1 - (1 - alpha_L) z``, and ``K`` is zero outside the columns ``T`` of the defaulting
-    and the ``held`` (nonzero ``Gamma`` row) banks.  With ``KT = K[:, T]^T`` and
-    ``A = I - K[T, T]``, ``M(z) V = r`` is ``A V_T = r_T`` and ``V = r + K[:, T] V_T``."""
+# For a fixed default indicator z the wealths solve M(z) V = a_x(z) x - c(z).  The four
+# functions below are the only code that writes these out; every solve path calls them.
+
+
+def _haircuts(net: FinancialNetwork, z):
+    """``(a_x, b)``: the shares ``1 - (1 - alpha) z`` of its external and of its
+    interbank assets that a bank keeps, 1 when solvent, for ``z`` of any shape."""
+    return 1.0 - (1.0 - net.alpha_x) * z, 1.0 - (1.0 - net.alpha_L) * z
+
+
+def _rhs(net: FinancialNetwork, Z: np.ndarray, X, Pi_p: np.ndarray) -> np.ndarray:
+    """``R = a_x(z) X - c(z)`` per column, ``c(z) = p_bar - b(z) Pi^T p_bar``, for
+    ``(n, m)`` default sets ``Z`` (or one ``(n, 1)`` set) and endowments ``X``;
+    ``Pi_p = Pi^T p_bar``."""
+    a_x, b = _haircuts(net, Z)
+    R = X * a_x
+    R -= net.p_bar[:, None] - b * Pi_p[:, None]
+    return R
+
+
+def _block_inverse(net: FinancialNetwork, z: np.ndarray, held: np.ndarray):
+    """``(T, KT, A^{-1})``: ``M(z) = I - K`` with ``K = diag(b) [Pi^T diag(z) + Gamma^T
+    diag(1 - z)]``, and ``K`` is zero outside the columns ``T`` of the defaulting and the
+    ``held`` (nonzero ``Gamma`` row) banks.  With ``KT = K[:, T]^T`` and ``A = I - K[T, T]``,
+    ``M(z) V = R`` is ``A V_T = R_T`` and ``V = R + K[:, T] V_T``.  An empty block
+    solves nothing."""
     T = np.flatnonzero(z | held)
-    b = 1.0 - (1.0 - net.alpha_L) * z
+    b = _haircuts(net, z)[1]
     KT = net.Pi[T] * b
     KT[~z[T]] = net.Gamma[T[~z[T]]] * b
-    return T, KT
+    if not T.size:
+        return T, KT, np.empty((0, 0))
+    eye = np.eye(T.size)
+    return T, KT, _solve(eye - KT[:, T].T, eye)
+
+
+def _apply_inverse(net: FinancialNetwork, z: np.ndarray, R: np.ndarray, held: np.ndarray):
+    """``M(z)^{-1} R = R + K[:, T] A^{-1} R_T``, written into ``R``."""
+    T, KT, Ainv = _block_inverse(net, z, held)
+    if T.size:
+        R += KT.T @ (Ainv @ R[T])
+    return R
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -78,35 +112,17 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise RuntimeError("internal invariant violation: clearing system is singular") from exc
 
 
-def _inverse(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
-    # M(z)^{-1} is the identity except in columns T, where it is E_T + K[:, T] A^{-1}
-    T, KT = _coupled(net, z, net.Gamma.any(axis=1))
-    Minv = np.eye(net.n)
-    Minv[:, T] += KT.T @ _solve(np.eye(T.size) - KT[:, T].T, np.eye(T.size))
-    return Minv
-
-
-def _external_share(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
-    # a_x(z): each bank keeps all, or alpha_x, of its external assets
-    return 1.0 - (1.0 - net.alpha_x) * z.astype(float)
-
-
-def _intercept_rhs(net: FinancialNetwork, z: np.ndarray) -> np.ndarray:
-    # c(z) in V = M(z)^{-1} (a_x(z) * x - c(z))
-    b = 1.0 - (1.0 - net.alpha_L) * z.astype(float)
-    return net.p_bar - b * (net.Pi.T @ net.p_bar)
-
-
 def delta_matrix(net: FinancialNetwork, z) -> np.ndarray:
-    """Sensitivity of clearing wealths to endowments for default set ``z``."""
+    """Sensitivity ``Delta(z) = M(z)^{-1} diag(a_x(z))`` of clearing wealths to endowments."""
     z = np.asarray(z, dtype=bool)
-    return _inverse(net, z) * _external_share(net, z)
+    return _apply_inverse(net, z, np.eye(net.n), net.Gamma.any(axis=1)) * _haircuts(net, z)[0]
 
 
 def delta_vector(net: FinancialNetwork, z) -> np.ndarray:
-    """Intercept of the affine wealth map for default set ``z``."""
+    """Intercept ``delta(z) = M(z)^{-1} c(z)`` of the affine wealth map: ``-V`` at ``x = 0``."""
     z = np.asarray(z, dtype=bool)
-    return _inverse(net, z) @ _intercept_rhs(net, z)
+    R = _rhs(net, z[:, None], 0.0, net.Pi.T @ net.p_bar)
+    return -_apply_inverse(net, z, R, net.Gamma.any(axis=1))[:, 0]
 
 
 def _clear(net: FinancialNetwork, X: np.ndarray):
@@ -118,12 +134,13 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     changes; sets only grow, so ``rounds``, the affine solves of the slowest column, is at
     most ``n + 1``.  After the first round the changed columns are keyed by default pattern,
     packed little-endian into ``ceil(n/64)`` uint64 words, and grouped by one stable
-    ``lexsort``.  Each column solves only the coupled block of its pattern (``_coupled``)
-    for ``R = a_x X - c``, on one of two paths.  The first round's one pattern over every
-    column, and a pattern shared by more columns than its block has rows (``k > |T|``), take
-    one product with ``A^{-1}``.  Every other changed column, alone or in a small group, is
-    bucketed by ``|T|``, one stacked LAPACK call per chunk in sorted-key order, so a column's
-    bits do not depend on its place in the batch.  Nothing is kept between rounds.
+    ``lexsort``.  Each column solves only the coupled block of its pattern for
+    ``R = a_x X - c`` (``_rhs``), on one of two paths.  The first round's one pattern over
+    every column, and a pattern shared by more columns than its block has rows
+    (``k > |T|``), take one product with ``A^{-1}`` (``_apply_inverse``).  Every other
+    changed column, alone or in a small group, is bucketed by ``|T|``, one stacked LAPACK
+    call per chunk in sorted-key order, so a column's bits do not depend on its place in
+    the batch.  Nothing is kept between rounds.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("endowments must be nonnegative and finite")
@@ -131,32 +148,18 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     held = net.Gamma.any(axis=1)
     Pi_p = net.Pi.T @ net.p_bar
 
-    def rhs(Zc, Xc):
-        # R = a_x(z) X - c(z) per column, c(z) = p_bar - b(z) Pi^T p_bar as in _intercept_rhs
-        R = Xc * _external_share(net, Zc)
-        R -= net.p_bar[:, None] - (1.0 - (1.0 - net.alpha_L) * Zc) * Pi_p[:, None]
-        return R
-
-    def group(z, Xg):
-        # the columns of one pattern: one product with A^{-1}, A = I - K[T, T]
-        R = rhs(z[:, None], Xg)
-        T, KT = _coupled(net, z, held)
-        if T.size:
-            R += KT.T @ (_solve(np.eye(T.size) - KT[:, T].T, np.eye(T.size)) @ R[T])
-        return R
-
     def stacked(c, t):
         # columns with t coupled banks: A = I - b_T S[T, T]^T and V = R + b (Y S)^T,
         # S = Pi on defaulting and Gamma on held solvent rows, Y = V_T scattered to (g, n)
         Zc = Z[:, c]
-        R = rhs(Zc, X[:, c])
+        R = _rhs(net, Zc, X[:, c], Pi_p)
         T = np.nonzero((Zc | held[:, None]).T)[1].reshape(c.size, t)
         rows = np.arange(c.size)[:, None]
         zT = Zc.T[rows, T]
         A = net.Pi[T[:, None, :], T[:, :, None]]
         if held.any():
             A = np.where(zT[:, None, :], A, net.Gamma[T[:, None, :], T[:, :, None]])
-        A *= -(1.0 - (1.0 - net.alpha_L) * zT)[:, :, None]
+        A *= -_haircuts(net, zT)[1][:, :, None]
         A.reshape(c.size, -1)[:, :: t + 1] += 1.0
         y = _solve(A, R.T[rows, T, None])[..., 0]
         Y = np.zeros((c.size, n))
@@ -165,12 +168,13 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
         if held.any():
             Y[rows, T] = np.where(zT, 0.0, y)
             W += Y @ net.Gamma
-        R += (1.0 - (1.0 - net.alpha_L) * Zc) * W.T
+        R += _haircuts(net, Zc)[1] * W.T
         return R
 
     # the first round has one pattern, the empty default set, for every column
+    z = np.zeros(n, dtype=bool)
     Z = np.zeros((n, m), dtype=bool)
-    V = group(np.zeros(n, dtype=bool), X)
+    V = _apply_inverse(net, z, _rhs(net, z[:, None], X, Pi_p), held)
     for rounds in range(1, n + 2):
         new = (V < -ZERO_TOL) & ~Z
         idx = np.flatnonzero(np.logical_or.reduce(new, axis=0))
@@ -186,7 +190,11 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
         first, size = bounds[:-1], bounds[1:] - bounds[:-1]
         t = (Z[:, cols[first]] | held[:, None]).sum(axis=0)
         for a, k in zip(first[size > t].tolist(), size[size > t].tolist()):
-            V[:, cols[a : a + k]] = group(Z[:, cols[a]], X[:, cols[a : a + k]])
+            # the columns of one pattern: one product with A^{-1}
+            z = Z[:, cols[a]]
+            V[:, cols[a : a + k]] = _apply_inverse(
+                net, z, _rhs(net, z[:, None], X[:, cols[a : a + k]], Pi_p), held
+            )
         few = np.repeat(size <= t, size)
         rest, t = cols[few], np.repeat(t, size)[few]
         for u in np.flatnonzero(np.bincount(t)).tolist():

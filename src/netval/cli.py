@@ -414,8 +414,7 @@ def _cmd_statics(args) -> None:
         elif args.sweep == "alpha":
             if not 0.0 <= g <= 1.0:
                 raise PricingError("alpha grid values must lie in [0, 1]")
-            gam = net.Gamma if net.has_cross_ownership else None
-            p2, n2 = params, build_network(net.L, g, g, gam)
+            p2, n2 = params, build_network(net.L, g, g, net.Gamma)
         else:
             d = current_ratio(net, params.s, q0=params.q0)
             d[bank] = g

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import _coupled, _solve
+from .clearing import _block_inverse, _haircuts
 from .network import FinancialNetwork
 
 BISECT_REL_TOL = 1e-10
@@ -28,21 +28,6 @@ class ModelError(ValueError):
 
 class QuadratureError(RuntimeError):
     """Raised when adaptive integration fails to converge."""
-
-
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def norm_cdf(x):
-    """Standard normal CDF of an array, elementwise in a C loop over ``math.erfc``.
-
-    Wherever the result is a normal float it is within 4e-16 relative of
-    a 200-bit erfc of the same argument.
-    ``0.5 * scipy.special.erfc(-x / sqrt(2))`` differs from it by less
-    than 4.5e-15 relative for |x| <= 10 and by up to 5.7e-14 in the far
-    lower tail (x near -36), where scipy is the less accurate of the two.
-    """
-    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
 
 
 # Cephes ndtri (Moshier 1989), the routine behind scipy.special.ndtri: its
@@ -245,6 +230,18 @@ class TabulatedMap:
 # Factor distributions
 
 
+_ROOT2 = math.sqrt(2.0)
+
+
+def _lognormal_tails(tops, sigma: float, t: float) -> list:
+    """``Phi((top - log t) / sigma)`` for each ``top = mu + c sigma^2``, in scalar floats
+    with ``Phi(x) = erfc(-x / sqrt 2) / 2``: ``P(q >= t)`` under the lognormal law tilted
+    by ``q**c``, so ``c = 0`` gives the survival function.  ``log 0 = -inf`` gives the
+    tail 1 at ``t <= 0``, and ``log inf = inf`` the tail 0."""
+    log_t = -math.inf if t <= 0.0 else math.log(t)
+    return [0.5 * math.erfc(-((x - log_t) / sigma) / _ROOT2) for x in tops]
+
+
 class LogNormal:
     """log q ~ Normal(mu, sigma2)."""
 
@@ -257,19 +254,10 @@ class LogNormal:
         self.sigma2 = float(sigma2)
         self.sigma = math.sqrt(sigma2)
 
-    def tails(self, c, t) -> np.ndarray:
-        """``norm_cdf((mu + c sigma2 - log t) / sigma)`` at each ``t`` (rows)
-        and exponent ``c`` (columns): ``P(q >= t)`` under the law tilted by
-        ``q**c``, so ``c = 0`` gives the survival function."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        # log 0 = -inf gives the tail 1 at t <= 0, and log inf = inf the tail 0
-        logs = np.array([-math.inf if x <= 0.0 else math.log(x) for x in t.tolist()])
-        return norm_cdf((self.mu + c * self.sigma * self.sigma - logs[:, None]) / self.sigma)
-
     def prob_below(self, t) -> np.ndarray:
         """P(q < t) at each ``t``; the law has no atoms, so this is the CDF."""
-        return 1.0 - self.tails(0.0, t)[:, 0]
+        t = np.ravel(np.asarray(t, dtype=float)).tolist()
+        return np.array([1.0 - _lognormal_tails((self.mu,), self.sigma, x)[0] for x in t])
 
     def moment(self, c: float) -> float:
         """E[q**c]."""
@@ -615,7 +603,7 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     largest candidate and its bank.
 
     The sweep carries only ``A^{-1}``, the inverse of the coupled block
-    ``A = I - K[T, T]`` of ``M(z)`` (``clearing._coupled``), and applies
+    ``A = I - K[T, T]`` of ``M(z)`` (``clearing._block_inverse``), and applies
     ``M(z)^{-1} R = R + K[:, T] A^{-1} R_T`` as the clearing kernel does.  A default
     adds one bank to the block by bordering, a Schur complement in O(n |T|); a held
     bank, whose ``Gamma`` column is already in the block, is first dropped from it.
@@ -655,27 +643,30 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
     # the block in buffers of n slots, filled to m: banks T[:m], KT[:m] = K[:, T]^T
     # and B[:m, :m] = A^{-1}; it starts as the held banks (empty when Gamma = 0)
     held = net.Gamma.any(axis=1)
-    T0, KT0 = _coupled(net, z, held)
+    T0, KT0, B0 = _block_inverse(net, z, held)
     m = T0.size
     T, KT, B = np.empty(n, dtype=int), np.empty((n, n)), np.empty((n, n))
-    T[:m], KT[:m] = T0, KT0
-    B[:m, :m] = _solve(np.eye(m) - KT0[:, T0].T, np.eye(m))
+    T[:m], KT[:m], B[:m, :m] = T0, KT0, B0
     W = np.empty((n, n))  # each rank-one update of B, so B changes in place
-    # a_x(z), b(z) and the right-hand sides R0 at z = 0, changed bank by bank as z
-    # grows: c(z) = p_bar - b(z) Pi^T p_bar (clearing._intercept_rhs) and, on the
-    # affine branch, a_x(z) times the maps' two coefficients in u
-    a_x, b_L = np.ones(n), np.ones(n)
+    # a_x(z), b(z) (clearing._haircuts) and the right-hand sides R0 at z = 0, changed
+    # bank by bank as z grows: c(z) = p_bar - b(z) Pi^T p_bar (clearing._rhs) and, on
+    # the affine branch, a_x(z) times the maps' two coefficients in u
+    a_x, b_L = _haircuts(net, z)
+    ax_d, bL_d = _haircuts(net, True)
     Pi_p = net.Pi.T @ net.p_bar
     R0 = (net.p_bar - Pi_p)[:, None]
     if affine is not None:
         R0 = np.column_stack((R0, affine[0], affine[1]))
-    ax_d, bL_d = 1.0 - (1.0 - net.alpha_x), 1.0 - (1.0 - net.alpha_L)
     remaining = np.arange(n)
     q_prev = np.inf
 
+    def apply_inverse(r):
+        # M(z)^{-1} r through the current block
+        return r + KTm.T @ (Bm @ r[Tm])
+
     for k in range(n + 1):
         Tm, KTm, Bm = T[:m], KT[:m], B[:m, :m]
-        R = R0 + KTm.T @ (Bm @ R0[Tm])
+        R = apply_inverse(R0)
         d = R[:, 0]
         q_k = 0.0
         if k < n:
@@ -690,16 +681,14 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
                 sup = float(sups[at])
             else:
                 def g(q):
-                    r = a_x * model.endowments(q)
-                    return (r + KTm.T @ (Bm @ r[Tm]))[remaining]
+                    return apply_inverse(a_x * model.endowments(q))[remaining]
 
                 sup, at = _next_default(g, target, q_prev, cap)
             pick = int(remaining[at])
             q_k = min(q_prev, sup)
         if moments is not None and q_k < q_prev:
             prob, pe = moments(q_k, q_prev)
-            r = a_x * pe
-            EV += r + KTm.T @ (Bm @ r[Tm]) - d * prob
+            EV += apply_inverse(a_x * pe) - d * prob
         if k == n:
             break
         EE[pick] = EV[pick]
@@ -714,13 +703,13 @@ def _sweep(net: FinancialNetwork, model: FactorModel, moments=None):
             B[: m + 1, [t, m]] = B[: m + 1, [m, t]]
             np.multiply(B[:m, m, None], B[m, :m] / _pivot(B[m, m]), out=W[:m, :m])
             B[:m, :m] -= W[:m, :m]
-        # border the defaulter: its row of K scales by alpha_L, its column turns to Pi^T
+        # border the defaulter: its row of K scales by b, its column turns to Pi^T
         z[pick] = True
         a_x[pick], b_L[pick] = ax_d, bL_d
         R0[pick, 0] = net.p_bar[pick] - bL_d * Pi_p[pick]
         if affine is not None:
             R0[pick, 1:] = ax_d * affine[0][pick], ax_d * affine[1][pick]
-        KT[:m, pick] *= net.alpha_L
+        KT[:m, pick] *= bL_d
         KT[m] = net.Pi[pick] * b_L
         Bm, kt = B[:m, :m], KT[m, T[:m]]
         u = Bm @ kt
@@ -774,16 +763,12 @@ def _interval_moments(f, dist):
     col = np.searchsorted(expos, expo)
     if isinstance(dist, LogNormal):
         scale = np.array([dist.moment(c) for c in expos])
-        # LogNormal.tails at one t, with its operation order, in scalar floats
-        mu, sigma, root2 = dist.mu, dist.sigma, math.sqrt(2.0)
-        tops = [mu + c * sigma * sigma for c in (0.0, *expos)]
-
-        def tails(t: float):
-            log_t = -math.inf if t <= 0.0 else math.log(t)
-            return [0.5 * math.erfc(-((x - log_t) / sigma) / root2) for x in tops]
+        sigma = dist.sigma
+        tops = [dist.mu + c * sigma * sigma for c in (0.0, *expos)]
 
         def tilted(a: float, b: float):
-            (pa, *ta), (pb, *tb) = tails(a), tails(b)
+            pa, *ta = _lognormal_tails(tops, sigma, a)
+            pb, *tb = _lognormal_tails(tops, sigma, b)
             return pa - pb, scale * (np.array(ta) - np.array(tb))
     elif isinstance(dist, Uniform01):
         c = np.array(expos)

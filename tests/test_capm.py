@@ -27,7 +27,6 @@ from netval import (
 )
 from netval import comonotonic
 from netval.capm import _eta_maps, price_and_cap
-from netval.comonotonic import norm_cdf
 
 
 def bench_params(**kw):
@@ -49,7 +48,10 @@ def black_scholes_put(S0, K, r, T, sigma):
     v = sigma * math.sqrt(T)
     d1 = (math.log(S0 / K) + (r + 0.5 * sigma**2) * T) / v
     d2 = d1 - v
-    return K * math.exp(-r * T) * norm_cdf(-d2) - S0 * norm_cdf(-d1)
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    return K * math.exp(-r * T) * phi(-d2) - S0 * phi(-d1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from netval import (
 from netval.capm import CapmParams, _eta_maps, price_and_cap
 from netval.clearing import ZERO_TOL
 from netval import comonotonic
-from netval.comonotonic import _gl_rule, _pivot, norm_cdf, norm_ppf
+from netval.comonotonic import _gl_rule, _lognormal_tails, _pivot, norm_ppf
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +72,29 @@ def test_pe_truncated_lognormal_closed_form():
     # cutoff sqrt(e) puts the probability at Phi(-1) and the partial mean at 1/2
     dist = LogNormal(-0.5, 1.0)
     prob, pe = partial_expectation(dist, AffineMap(0.0, 1.0), math.sqrt(math.e), np.inf)
-    assert abs(prob - norm_cdf(-1.0)) < 1e-13
+    assert abs(prob - 0.5 * math.erfc(1.0 / math.sqrt(2.0))) < 1e-13
     assert abs(prob - 0.15866) < 1e-5
     assert abs(pe - 0.5) < 1e-12
 
 
-def test_norm_cdf_matches_scipy_erfc():
+def test_prob_below_matches_scipy_erfc():
+    # prob_below is 1 - S for the survival function S = Phi((mu - log t) / sigma) that
+    # _interval_moments also evaluates, with Phi through math.erfc
     from scipy.special import erfc
 
-    x = np.linspace(-38.0, 38.0, 200_001)
-    ref = 0.5 * erfc(-x / math.sqrt(2.0))
-    got = norm_cdf(x)
-    assert got.shape == x.shape
-    assert all(norm_cdf(v) == g for v, g in zip(x[::5000], got[::5000]))
-    # below the smallest normal float (x < -37.5) only absolute agreement
+    dist = LogNormal(0.3, 0.64)
+    t = np.exp(dist.mu + dist.sigma * np.linspace(-38.0, 38.0, 200_001))
+    u = (np.array([math.log(v) for v in t.tolist()]) - dist.mu) / dist.sigma
+    ref = 0.5 * erfc(u / math.sqrt(2.0))
+    tail = np.array([_lognormal_tails((dist.mu,), dist.sigma, v)[0] for v in t.tolist()])
+    got = dist.prob_below(t)
+    assert got.shape == t.shape and np.array_equal(got, 1.0 - tail)
+    assert all(dist.prob_below(v)[0] == g for v, g in zip(t[::5000], got[::5000]))
+    # below the smallest normal float (u > 37.5) only absolute agreement
     # is meaningful; scipy already rounds Phi(-38) ~ 2.9e-316 to zero
     normal = ref >= np.finfo(float).tiny
-    assert np.all(np.abs(got - ref)[normal] <= 1e-13 * ref[normal])
-    assert np.all(np.abs(got - ref)[~normal] <= np.finfo(float).tiny)
+    assert np.all(np.abs(tail - ref)[normal] <= 1e-13 * ref[normal])
+    assert np.all(np.abs(tail - ref)[~normal] <= np.finfo(float).tiny)
 
 
 def _ulps(a, b):
@@ -642,7 +647,8 @@ def _scalar_prob_below(dist, x: float) -> float:
     # P(q < x) one threshold at a time, as each law computed it before
     # prob_below took arrays
     if isinstance(dist, LogNormal):
-        return 1.0 - float(dist.tails(0.0, x)[0, 0])
+        log_x = -math.inf if x <= 0.0 else math.log(x)
+        return 1.0 - 0.5 * math.erfc(-((dist.mu - log_x) / dist.sigma) / math.sqrt(2.0))
     if isinstance(dist, PointMass):
         return float(dist.probs[dist.atoms < x].sum())
     return float(np.clip(x, 0.0, 1.0))
