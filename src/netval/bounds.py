@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import greatest_clearing
 from .comonotonic import (
+    ExpectedValues,
     FactorModel,
     LogNormal,
     PointMass,
@@ -36,8 +36,6 @@ class BoundsError(ValueError):
 
 class TabulatedQuantile:
     """Marginal specified by quantile knots on (0, 1), monotone interpolated."""
-
-    kind = "tabulated-quantile"
 
     def __init__(self, u_knots, x_knots):
         u = np.asarray(u_knots, dtype=float)
@@ -75,16 +73,6 @@ class MarginalSet:
         return np.array([m.mean() for m in self.marginals])
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """Wealth, payment, and equity values for one bound, plus society's cut."""
-
-    EV: np.ndarray
-    Ep: np.ndarray
-    EE: np.ndarray
-    E_soc: float
-
-
 def _require_full_recovery(net: FinancialNetwork):
     if not net.full_recovery:
         raise BoundsError(
@@ -113,7 +101,7 @@ def _finite_comonotonic_support(marginals):
     return Z, weights
 
 
-def comonotonic_lower(net: FinancialNetwork, marg: MarginalSet) -> BoundResult:
+def comonotonic_lower(net: FinancialNetwork, marg: MarginalSet) -> ExpectedValues:
     """Expected clearing values under the comonotonic coupling Z = F^{-1}(U).
 
     Finite marginals are enumerated exactly over the breakpoints of U;
@@ -126,8 +114,7 @@ def comonotonic_lower(net: FinancialNetwork, marg: MarginalSet) -> BoundResult:
     ms = marg.marginals
 
     if all(isinstance(m, PointMass) for m in ms):
-        ex = exact_expectations(net, *_finite_comonotonic_support(ms))
-        return BoundResult(EV=ex.EV, Ep=ex.Ep, EE=ex.EE, E_soc=ex.E_soc)
+        return exact_expectations(net, *_finite_comonotonic_support(ms))
 
     if all(isinstance(m, LogNormal) for m in ms):
         # F_i^{-1}(U) = e^{mu_i} q^{sigma_i} for the factor q = e^{Phi^{-1}(U)}
@@ -138,29 +125,21 @@ def comonotonic_lower(net: FinancialNetwork, marg: MarginalSet) -> BoundResult:
         model = FactorModel(
             [(lambda u, m=m: m.quantile(u)) for m in ms], Uniform01()
         )
-    ev = expected_values(net, model)
-    return BoundResult(
-        EV=ev.EV, Ep=ev.Ep, EE=ev.EE, E_soc=float(net.pi_soc @ ev.Ep)
-    )
+    return expected_values(net, model)
 
 
-def jensen_upper(net: FinancialNetwork, mean_x) -> BoundResult:
-    """Clearing values at the mean endowment; an upper bound by concavity."""
+def jensen_upper(net: FinancialNetwork, mean_x) -> ExpectedValues:
+    """Clearing values at the mean endowment, an upper bound by concavity: the
+    exact expectation under the point mass on the mean."""
     _require_full_recovery(net)
-    res = greatest_clearing(net, mean_x)
-    return BoundResult(
-        EV=res.V, Ep=res.p, EE=res.E, E_soc=float(res.societal_payment)
-    )
+    return exact_expectations(net, np.reshape(mean_x, (1, -1)), [1.0])
 
 
-def conditional_upper(net: FinancialNetwork, cond: FactorModel) -> BoundResult:
+def conditional_upper(net: FinancialNetwork, cond: FactorModel) -> ExpectedValues:
     """Expected clearing values of the factor-conditional means E[X | q].
 
     The caller supplies cond with f_i(q) = E[X_i | q]; monotonicity is
     enforced by the FactorModel itself.
     """
     _require_full_recovery(net)
-    ev = expected_values(net, cond)
-    return BoundResult(
-        EV=ev.EV, Ep=ev.Ep, EE=ev.EE, E_soc=float(net.pi_soc @ ev.Ep)
-    )
+    return expected_values(net, cond)

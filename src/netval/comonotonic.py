@@ -233,19 +233,20 @@ class TabulatedMap:
 _ROOT2 = math.sqrt(2.0)
 
 
-def _lognormal_tails(tops, sigma: float, t: float) -> list:
+def _lognormal_tails(tops, sigma: float, t: float, below: bool = False) -> list:
     """``Phi((top - log t) / sigma)`` for each ``top = mu + c sigma^2``, in scalar floats
     with ``Phi(x) = erfc(-x / sqrt 2) / 2``: ``P(q >= t)`` under the lognormal law tilted
     by ``q**c``, so ``c = 0`` gives the survival function.  ``log 0 = -inf`` gives the
-    tail 1 at ``t <= 0``, and ``log inf = inf`` the tail 0."""
+    tail 1 at ``t <= 0``, and ``log inf = inf`` the tail 0.  ``below`` gives
+    ``P(q < t) = Phi((log t - top) / sigma)`` instead, through erfc as well, so a
+    small probability keeps its digits (``1 - P(q >= t)`` cancels)."""
     log_t = -math.inf if t <= 0.0 else math.log(t)
-    return [0.5 * math.erfc(-((x - log_t) / sigma) / _ROOT2) for x in tops]
+    sign = 1.0 if below else -1.0
+    return [0.5 * math.erfc(sign * ((x - log_t) / sigma) / _ROOT2) for x in tops]
 
 
 class LogNormal:
     """log q ~ Normal(mu, sigma2)."""
-
-    kind = "lognormal"
 
     def __init__(self, mu: float, sigma2: float):
         if not (np.isfinite(mu) and np.isfinite(sigma2)) or sigma2 <= 0.0:
@@ -257,11 +258,15 @@ class LogNormal:
     def prob_below(self, t) -> np.ndarray:
         """P(q < t) at each ``t``; the law has no atoms, so this is the CDF."""
         t = np.ravel(np.asarray(t, dtype=float)).tolist()
-        return np.array([1.0 - _lognormal_tails((self.mu,), self.sigma, x)[0] for x in t])
+        return np.array([_lognormal_tails((self.mu,), self.sigma, x, True)[0] for x in t])
 
     def moment(self, c: float) -> float:
-        """E[q**c]."""
-        return math.exp(c * self.mu + 0.5 * c * c * self.sigma * self.sigma)
+        """E[q**c]; ``ModelError`` where it exceeds the float range."""
+        try:
+            return math.exp(c * self.mu + 0.5 * c * c * self.sigma * self.sigma)
+        except OverflowError:
+            raise ModelError(f"E[q**c] at exponent c = {c!r} overflows under "
+                             f"lognormal(mu={self.mu!r}, sigma2={self.sigma2!r})") from None
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma2)
@@ -272,8 +277,6 @@ class LogNormal:
 
 class PointMass:
     """Finite mixture of point masses on the nonnegative half-line."""
-
-    kind = "pointmass"
 
     def __init__(self, atoms, probs):
         atoms = np.asarray(atoms, dtype=float)
@@ -304,8 +307,6 @@ class PointMass:
 class Empirical(PointMass):
     """Equally weighted sample treated as an exact discrete law."""
 
-    kind = "empirical"
-
     def __init__(self, sample):
         sample = np.asarray(sample, dtype=float)
         if sample.ndim != 1 or sample.size == 0:
@@ -315,8 +316,6 @@ class Empirical(PointMass):
 
 class Uniform01:
     """Uniform factor on [0, 1], used for quantile-coupled endowments."""
-
-    kind = "uniform"
 
     def prob_below(self, t) -> np.ndarray:
         """P(q < t) at each ``t``."""
@@ -425,6 +424,15 @@ def _map_params(f):
     return tuple(np.array([getattr(fi, k) for fi in f]) for k in ("shift", "coef", "exponent"))
 
 
+def _evaluate(f, q: np.ndarray, banks):
+    """Maps ``f[i]`` for ``i`` in ``banks`` at ``q``, stacked on a last axis."""
+    cols = [f[i](q) for i in banks]
+    for i, v in zip(banks, cols):
+        if np.shape(v) != q.shape:
+            raise ModelError(f"map {i}: map must evaluate elementwise on arrays")
+    return np.stack(cols, axis=-1)
+
+
 _MONOTONE_GRID = np.concatenate(([0.0], np.geomspace(1e-9, 1e6, 151)))
 _MAP_FAULTS = ("produced non-finite values", "must be nonnegative on q >= 0",
                "must be nondecreasing")
@@ -447,17 +455,22 @@ class FactorModel:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "_params", _map_params(f))
+        # a power map's constructor has checked what the grid would; probing it
+        # would refuse a valid map whose large exponent overflows at the grid's end
+        probe = [i for i, fi in enumerate(f) if not isinstance(fi, PowerMap)]
+        if not probe:
+            return
         grid = _MONOTONE_GRID
         if isinstance(dist, Uniform01):
             # stop short of u = 1: quantile maps of unbounded laws diverge there
             grid = np.linspace(0.0, 1.0 - 1e-9, 201)
-        vals = self.endowments(grid)
+        vals = _evaluate(f, grid, probe)
         with np.errstate(invalid="ignore"):
             drop = np.diff(vals, axis=0) < -1e-12 * np.maximum(1.0, np.abs(vals[:-1]))
             bad = np.array([~np.isfinite(vals).all(0), (vals < 0.0).any(0), drop.any(0)])
         if bad.any():
-            i = int(np.flatnonzero(bad.any(axis=0))[0])
-            raise ModelError(f"map {i}: map {_MAP_FAULTS[int(np.argmax(bad[:, i]))]}")
+            k = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise ModelError(f"map {probe[k]}: map {_MAP_FAULTS[int(np.argmax(bad[:, k]))]}")
 
     @property
     def n(self) -> int:
@@ -473,11 +486,7 @@ class FactorModel:
         """
         q = np.asarray(q, dtype=float)
         if self._params is None:
-            cols = [fi(q) for fi in self.f]
-            for i, v in enumerate(cols):
-                if np.shape(v) != q.shape:
-                    raise ModelError(f"map {i}: map must evaluate elementwise on arrays")
-            return np.stack(cols, axis=-1)
+            return _evaluate(self.f, q, range(self.n))
         shift, coef, expo = self._params
         with np.errstate(over="ignore"):
             return shift + coef * np.power(q[..., None], expo)
@@ -793,13 +802,15 @@ def _interval_moments(f, dist):
 
 @dataclass(frozen=True)
 class ExpectedValues:
-    """Per-bank default probability and expected wealth, payment, equity."""
+    """Per-bank default probability and expected wealth, payment, equity, and
+    society's expected take ``E_soc``; ``thresholds`` only from the threshold sweep."""
 
     pd: np.ndarray
     EV: np.ndarray
     Ep: np.ndarray
     EE: np.ndarray
-    thresholds: SolvencyThresholds
+    E_soc: float
+    thresholds: SolvencyThresholds | None = None
 
 
 def expected_values(net: FinancialNetwork, model: FactorModel) -> ExpectedValues:
@@ -811,6 +822,11 @@ def expected_values(net: FinancialNetwork, model: FactorModel) -> ExpectedValues
     sweep adds up as it goes; payments pick up only the intervals below a
     bank's own threshold and equity only those above.
     """
-    th, EV, EE = _sweep(net, model, _interval_moments(model.f, model.dist))
-    Ep = net.p_bar + (EV - EE)
-    return ExpectedValues(pd=model.dist.prob_below(th.q_star), EV=EV, Ep=Ep, EE=EE, thresholds=th)
+    with np.errstate(over="ignore", invalid="ignore"):
+        th, EV, EE = _sweep(net, model, _interval_moments(model.f, model.dist))
+        Ep = net.p_bar + (EV - EE)
+    if not np.isfinite(Ep).all():
+        # a map's values, though finite, can overflow once scaled by a moment
+        raise ModelError("expected wealths overflow the float range")
+    return ExpectedValues(pd=model.dist.prob_below(th.q_star), EV=EV, Ep=Ep, EE=EE,
+                          E_soc=float(net.pi_soc @ Ep), thresholds=th)

@@ -20,7 +20,7 @@ from .clearing import (
     greatest_clearing,
     greatest_clearing_batch,
 )
-from .comonotonic import BRACKET_MAX_DOUBLINGS, ModelError, norm_ppf
+from .comonotonic import BRACKET_MAX_DOUBLINGS, ExpectedValues, ModelError, norm_ppf
 from .network import FinancialNetwork
 
 REGION_MAX_BANKS = 12
@@ -255,17 +255,6 @@ class MCExpectations:
     n_paths: int
 
 
-@dataclass(frozen=True)
-class ExactExpectations:
-    """Exact expectations over a finite scenario law."""
-
-    pd: np.ndarray
-    EV: np.ndarray
-    Ep: np.ndarray
-    EE: np.ndarray
-    E_soc: float
-
-
 def _mean_se(A: np.ndarray):
     # banks-major (k, m): numpy sums the contiguous path axis pairwise
     m = A.shape[1]
@@ -294,7 +283,7 @@ def mc_expectations(net: FinancialNetwork, batch: ScenarioBatch) -> MCExpectatio
     )
 
 
-def exact_expectations(net: FinancialNetwork, atoms, probs) -> ExactExpectations:
+def exact_expectations(net: FinancialNetwork, atoms, probs) -> ExpectedValues:
     """Probability-weighted clearing over an explicit finite law."""
     atoms = np.asarray(atoms, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -303,7 +292,7 @@ def exact_expectations(net: FinancialNetwork, atoms, probs) -> ExactExpectations
     if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
         raise OracleError("probabilities must be nonnegative and sum to 1")
     V, p, E, Z = greatest_clearing_batch(net, atoms)
-    return ExactExpectations(
+    return ExpectedValues(
         pd=probs @ Z,
         EV=probs @ V,
         Ep=probs @ p,

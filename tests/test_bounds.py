@@ -8,6 +8,7 @@ from netval import (
     AffineMap,
     BoundsError,
     CapmParams,
+    ExpectedValues,
     FactorModel,
     LogNormal,
     MarginalSet,
@@ -18,6 +19,7 @@ from netval import (
     conditional_upper,
     debt_price_bound,
     exact_expectations,
+    expected_values,
     greatest_clearing,
     jensen_upper,
     mc_expectations,
@@ -27,6 +29,38 @@ from netval import (
 APP_B_MARGINALS = MarginalSet(
     [PointMass([0.0, 1.0], [0.5, 0.5]), PointMass([0.0, 2.0], [0.5, 0.5])]
 )
+
+
+def test_every_expected_outcome_is_one_record(two_bank):
+    # the bounds, the exact oracle and the closed forms all return ExpectedValues;
+    # only a threshold sweep attaches thresholds
+    lognormal = MarginalSet([LogNormal(0.3, 0.5), LogNormal(0.5, 0.8)])
+    model = FactorModel([AffineMap(0.0, 3.0), PowerMap(4.0, 0.7)], LogNormal(-0.5, 1.0))
+    swept = {
+        "lower-lognormal": comonotonic_lower(two_bank, lognormal),
+        "lower-tabulated": comonotonic_lower(two_bank, MarginalSet(
+            [TabulatedQuantile([0.1, 0.9], [1.0, 5.0]), TabulatedQuantile([0.2, 0.8], [2.0, 6.0])])),
+        "conditional": conditional_upper(two_bank, model),
+        "expected_values": expected_values(two_bank, model),
+    }
+    finite = {
+        "lower-finite": comonotonic_lower(two_bank, APP_B_MARGINALS),
+        "jensen": jensen_upper(two_bank, lognormal.means()),
+        "exact": exact_expectations(two_bank, [[1.0, 2.0], [3.0, 5.0]], [0.4, 0.6]),
+    }
+    for name, res in {**swept, **finite}.items():
+        assert type(res) is ExpectedValues, name
+        assert (res.thresholds is None) == (name in finite), name
+        assert math.isclose(res.E_soc, two_bank.pi_soc @ res.Ep, rel_tol=1e-14), name
+
+
+def test_jensen_is_the_point_mass_at_the_mean(two_bank):
+    mean_x = [2.5, 3.5]
+    res = jensen_upper(two_bank, mean_x)
+    chk = greatest_clearing(two_bank, mean_x)
+    for got, want in ((res.EV, chk.V), (res.Ep, chk.p), (res.EE, chk.E), (res.pd, chk.z)):
+        assert np.array_equal(got, want)
+    assert res.E_soc == chk.societal_payment
 
 
 def test_cycle_comonotonic_lower(cycle_full):

@@ -238,13 +238,15 @@ def test_comonotonic_price_matches_mc(two_bank):
 
 
 def test_mc_price_inside_bounds(two_bank):
-    params = beta_params(0.5)
-    lo = debt_price_bound(two_bank, params, "lower") * two_bank.p_bar
-    hi = debt_price_bound(two_bank, params, "upper") * two_bank.p_bar
-    batch = simulate({"kind": "capm", "params": params}, 400_000, 7)
-    est = mc_expectations(two_bank, batch)
-    assert np.all(est.Ep >= lo - 3.0 * est.se_Ep)
-    assert np.all(est.Ep <= hi + 3.0 * est.se_Ep)
+    # sigma_i / sigma_M ~ 60 in the second case: power maps of exponent ~60,
+    # valid though they overflow at q = 1e6
+    for params in (beta_params(0.5), bench_params(sigma_M=0.01, gamma=[0.6, 0.6])):
+        lo = debt_price_bound(two_bank, params, "lower") * two_bank.p_bar
+        hi = debt_price_bound(two_bank, params, "upper") * two_bank.p_bar
+        batch = simulate({"kind": "capm", "params": params}, 400_000, 7)
+        est = mc_expectations(two_bank, batch)
+        assert np.all(est.Ep >= lo - 3.0 * est.se_Ep)
+        assert np.all(est.Ep <= hi + 3.0 * est.se_Ep)
 
 
 # values captured before prices went through expected_values, at r = 0.03,

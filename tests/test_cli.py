@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -424,6 +425,36 @@ def test_exit_domain_error(tmp_path, beta1_params):
     assert all(r["guarantee"] == "no bound guarantee" for r in rows)
 
 
+def test_price_steep_power_maps(tmp_path, two_bank_csv, capsys):
+    # sigma_i / sigma_M ~ 60: valid power maps of exponent ~60, which overflow
+    # at q = 1e6, price like any other
+    params = tmp_path / "steep.json"
+    params.write_text(json.dumps({"r": 0.02, "T": 1.0, "sigma_M": 0.01, "beta": [1.0, 1.0],
+                                  "gamma": [0.6, 0.6], "s": [7.5, 4.0]}))
+    assert cli.main(["price", two_bank_csv, str(params), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    lower, upper = ([r["price"] for r in rows if r["which"] == w] for w in ("lower", "upper"))
+    assert all(0.0 < lo <= up <= math.exp(-0.02) for lo, up in zip(lower, upper))
+
+
+@pytest.mark.parametrize("power, message", [
+    # E[q**40] under log q ~ N(0, 4) is exp(3200)
+    ({"coef": 1.0, "exponent": 40.0}, "E[q**c] at exponent c = 40.0 overflows"),
+    # E[q**2] = e^8 is finite, but 1e308 times it is not
+    ({"coef": 1e308, "exponent": 2.0}, "expected wealths overflow the float range"),
+], ids=["moment", "scaled-moment"])
+def test_expect_overflow_exits_5(tmp_path, two_bank_csv, power, message):
+    # a domain error, not an internal one, and stderr holds only the JSON error
+    model = tmp_path / "model.json"
+    maps = [dict(power, type="power"), {"type": "affine", "shift": 0.0, "slope": 4.0}]
+    model.write_text(json.dumps({"maps": maps,
+                                 "dist": {"kind": "lognormal", "mu": 0.0, "sigma2": 4.0}}))
+    proc = run_cli("expect", two_bank_csv, str(model))
+    assert proc.returncode == 5 and proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "domain" and err["message"].startswith(message)
+
+
 @pytest.mark.parametrize("x", ["nan,2", "-1,2", "inf,2", "1,2,3", "1"])
 def test_clear_rejects_bad_endowments(two_bank_csv, capsys, x):
     assert cli.main(["clear", two_bank_csv, f"--x={x}"]) == 4
@@ -759,6 +790,11 @@ GOLDEN_CALLS = [
         "bounds {dir}/net.csv {dir}/bounds_tabulated.json",
         "1493b361fca554b921a840514af6b6ae6b1fe3ba89e05d50cd36106cb53cfda0",
         id="bounds-tabulated-quantile",
+    ),
+    pytest.param(
+        "statics {dir}/net.csv {dir}/params.json --sweep beta --grid 0,0.5,0.9",
+        "447228139875d6e58015dc151bf4d86a8bbda2900f71c2d53e6cf82e306b6ab5",
+        id="statics-beta",
     ),
     pytest.param(
         "statics {dir}/net.csv {dir}/params.json --sweep T --grid 0.5,1,2",

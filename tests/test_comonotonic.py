@@ -78,23 +78,33 @@ def test_pe_truncated_lognormal_closed_form():
 
 
 def test_prob_below_matches_scipy_erfc():
-    # prob_below is 1 - S for the survival function S = Phi((mu - log t) / sigma) that
-    # _interval_moments also evaluates, with Phi through math.erfc
+    # the survival function S = Phi((mu - log t) / sigma) that _interval_moments
+    # evaluates and prob_below = Phi((log t - mu) / sigma), each through math.erfc
+    # of its own argument, so neither is 1 minus the other
     from scipy.special import erfc
 
     dist = LogNormal(0.3, 0.64)
     t = np.exp(dist.mu + dist.sigma * np.linspace(-38.0, 38.0, 200_001))
     u = (np.array([math.log(v) for v in t.tolist()]) - dist.mu) / dist.sigma
-    ref = 0.5 * erfc(u / math.sqrt(2.0))
     tail = np.array([_lognormal_tails((dist.mu,), dist.sigma, v)[0] for v in t.tolist()])
     got = dist.prob_below(t)
-    assert got.shape == t.shape and np.array_equal(got, 1.0 - tail)
+    assert got.shape == t.shape
     assert all(dist.prob_below(v)[0] == g for v, g in zip(t[::5000], got[::5000]))
-    # below the smallest normal float (u > 37.5) only absolute agreement
-    # is meaningful; scipy already rounds Phi(-38) ~ 2.9e-316 to zero
-    normal = ref >= np.finfo(float).tiny
-    assert np.all(np.abs(tail - ref)[normal] <= 1e-13 * ref[normal])
-    assert np.all(np.abs(tail - ref)[~normal] <= np.finfo(float).tiny)
+    for val, ref in ((tail, 0.5 * erfc(u / math.sqrt(2.0))), (got, 0.5 * erfc(-u / math.sqrt(2.0)))):
+        # below the smallest normal float (|u| > 37.5) only absolute agreement
+        # is meaningful; scipy already rounds Phi(-38) ~ 2.9e-316 to zero
+        normal = ref >= np.finfo(float).tiny
+        assert np.all(np.abs(val - ref)[normal] <= 1e-13 * ref[normal])
+        assert np.all(np.abs(val - ref)[~normal] <= np.finfo(float).tiny)
+
+
+def test_prob_below_keeps_small_probabilities():
+    # 1 - S cancels: it kept ten digits of P(q < e^-5) and gave 0 from e^-8.3 down
+    dist = LogNormal(0.0, 1.0)
+    got = dist.prob_below([math.exp(-5.0), math.exp(-8.3)])
+    want = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
+    assert abs(got[0] - want) <= 1e-15 * want
+    assert got[1] > 0.0 and abs(got[1] - 0.5 * math.erfc(8.3 / math.sqrt(2.0))) <= 1e-14 * got[1]
 
 
 def _ulps(a, b):
@@ -267,6 +277,20 @@ def test_tabulated_map_rejects_decreasing():
 def test_factor_model_rejects_decreasing_map():
     with pytest.raises(ModelError):
         FactorModel([AffineMap(1.0, -0.5)], LogNormal(0.0, 1.0))
+
+
+def test_factor_model_checks_power_maps_by_their_parameters():
+    # an exponent of 60 overflows at the top of the check grid (q = 1e6), yet the
+    # map is valid: its constructor has already checked it
+    model = FactorModel([PowerMap(1.0, 60.0), AffineMap(0.5, 1.0)], LogNormal(0.0, 0.01))
+    assert model.endowments(1e6)[0] == np.inf
+    assert np.all(np.isfinite(expected_values(make_two_bank(), model).EV))
+    # every other column is still probed on the grid, named by its own index
+    for bad, fault in ((lambda q: -np.asarray(q), "nonnegative on q >= 0"),
+                       (lambda q: 1.0 / (1.0 + np.asarray(q)), "nondecreasing"),
+                       (lambda q: np.where(np.asarray(q) > 1e3, np.inf, 1.0), "non-finite values")):
+        with pytest.raises(ModelError, match=f"^map 1: map (must be |produced ){fault}"):
+            FactorModel([PowerMap(1.0, 60.0), bad], LogNormal(0.0, 1.0))
 
 
 def test_power_map_rejects_negative_exponent():
@@ -644,11 +668,11 @@ def test_bisection_thresholds_pinned(name):
 
 
 def _scalar_prob_below(dist, x: float) -> float:
-    # P(q < x) one threshold at a time, as each law computed it before
-    # prob_below took arrays
+    # P(q < x) one threshold at a time, written out per law; the lognormal
+    # through math.erfc, whose bits scipy's erfc misses on about a third of arguments
     if isinstance(dist, LogNormal):
         log_x = -math.inf if x <= 0.0 else math.log(x)
-        return 1.0 - 0.5 * math.erfc(-((dist.mu - log_x) / dist.sigma) / math.sqrt(2.0))
+        return 0.5 * math.erfc(((dist.mu - log_x) / dist.sigma) / math.sqrt(2.0))
     if isinstance(dist, PointMass):
         return float(dist.probs[dist.atoms < x].sum())
     return float(np.clip(x, 0.0, 1.0))
@@ -994,11 +1018,12 @@ def _pinned_models():
 # ("capm", net, alpha, side) -> price, cap with per-bank beta.  The lognormal
 # tabulated-map entries come from the quadrature in log q, which keeps the
 # unbounded top interval; the "ev" and "capm" entries were taken again when the
-# sweep moved to the bordered coupled block, which moves their last bits
+# sweep moved to the bordered coupled block, which moves their last bits, and
+# the lognormal "ev" pd rows again when prob_below stopped computing 1 - S
 PARENT_VALUES = {
     ('ev', 'lognormal-mixed', 1.0): [
         [2, 0, 3, 1],
-        [0.7264921588893429, 0.3157211694528427, 0.7355201524737645, 0.5689900586854619],
+        [0.7264921588893428, 0.3157211694528427, 0.7355201524737645, 0.5689900586854619],
         [-0.4611820941813657, 0.42487555945603306, -0.2958587166387059, 0.6787984337633821],
         [2.1390443354904063, 1.7766421635372924, 1.7668530859784304, 1.2394806484252479],
         [0.09977357032822845, 0.5482333959187408, 0.2372881973828636, 1.0393177853381343],
@@ -1006,7 +1031,7 @@ PARENT_VALUES = {
     ],
     ('ev', 'lognormal-mixed', 0.7): [
         [2, 0, 3, 1],
-        [0.7264921588893429, 0.48389724315880445, 0.7355201524737645, 0.670375804641906],
+        [0.7264921588893428, 0.4838972431588045, 0.7355201524737645, 0.670375804641906],
         [-1.0583016771155607, -0.011212646688457395, -0.7590810565912983, 0.2725283357390992],
         [1.541924752556211, 1.4535489705481734, 1.3036307460258378, 0.8699552201879742],
         [0.09977357032822845, 0.4352383827633693, 0.2372881973828636, 1.002573115551125],
@@ -1014,7 +1039,7 @@ PARENT_VALUES = {
     ],
     ('ev', 'lognormal-power', 1.0): [
         [2, 1, 0, 3],
-        [0.6105202859914544, 0.6320701034152418, 0.7896268902662993, 0.1665681842152149],
+        [0.6105202859914544, 0.6320701034152418, 0.7896268902662993, 0.16656818421521496],
         [-0.1448289187644838, -0.09171931802331793, -0.23385713436909888, 0.4342388236396908],
         [2.3598883924377443, 1.4515493568821163, 1.330353179545418, 1.5682957322097575],
         [0.19528268879777197, 0.3567313250945658, 0.7357896860854829, 0.4659430914299334],

@@ -153,6 +153,21 @@ def test_chunked_equals_unchunked(spec_fn):
     assert np.array_equal(np.vstack(parts), full)
 
 
+def test_uniform_factor_draws_are_the_maps_at_u():
+    # a uniform factor is its own quantile: each row is the maps at that path's uniform
+    from netval import Uniform01
+    from netval.oracle import _KIND_TAGS, _substream_uniforms
+
+    model = FactorModel(
+        [AffineMap(0.5, 2.0), PowerMap(3.0, 0.4), TabulatedMap([0.0, 0.3, 1.0], [0.0, 2.0, 2.5])],
+        Uniform01(),
+    )
+    X = simulate({"kind": "comonotonic-factor", "model": model}, 200, 9, path_offset=7).X
+    u = _substream_uniforms(9, _KIND_TAGS["comonotonic-factor"], 200, 1, 7)[:, 0]
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.array_equal(X, model.endowments(u))
+
+
 CAPM_P_SPEC = {
     "kind": "capm",
     "measure": "P",
@@ -363,12 +378,15 @@ def test_mc_statistics_match_fsum(m, alpha):
 
 
 def test_bisection_oracle_matches_closed_form(two_bank):
-    model = FactorModel(
-        [AffineMap(0.0, 3.0), AffineMap(0.0, 4.0)], LogNormal(-0.5, 1.0)
-    )
-    analytic = solvency_thresholds(two_bank, model)
-    oracle = thresholds_by_clearing_bisection(two_bank, model)
-    assert np.allclose(analytic.q_star, oracle, rtol=1e-9)
+    # at shift 20 bank 2 is solvent at q = 0: threshold 0, as in the sweep
+    for shift in (0.0, 20.0):
+        model = FactorModel(
+            [AffineMap(0.0, 3.0), AffineMap(shift, 4.0)], LogNormal(-0.5, 1.0)
+        )
+        analytic = solvency_thresholds(two_bank, model)
+        oracle = thresholds_by_clearing_bisection(two_bank, model)
+        assert np.allclose(analytic.q_star, oracle, rtol=1e-9)
+        assert (oracle[1] == 0.0) == (shift > 0.0) and oracle[0] > 0.0
 
 
 def test_bisection_oracle_never_solvent_or_unbracketed(two_bank):
