@@ -26,11 +26,11 @@ from .comonotonic import (
     Uniform01,
     expected_values,
 )
-from .network import FinancialNetwork
+from .network import DomainError, FinancialNetwork
 from .oracle import exact_expectations
 
 
-class BoundsError(ValueError):
+class BoundsError(DomainError):
     """Raised when a bound is requested outside its validity domain."""
 
 

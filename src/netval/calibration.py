@@ -1,4 +1,4 @@
-"""Balance-sheet calibration, matrix filling, ratio constructions, CSV IO.
+"""Balance-sheet calibration, matrix filling, ratio constructions, balance-sheet CSV.
 
 Calibrates a stylized network from per-bank aggregates (total assets,
 capital, interbank liabilities), reconstructs a liabilities matrix with
@@ -9,24 +9,26 @@ networks to hit target debt-to-firm-value ratios.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FinancialNetwork, build_network, network_from_relative
+from .network import (
+    DomainError,
+    FinancialNetwork,
+    SchemaError,
+    build_network,
+    finite_floats,
+    network_from_relative,
+)
 
 RAS_TOL = 1e-10
 RAS_MAX_ITER = 10000
 
 
-class CalibrationError(ValueError):
+class CalibrationError(DomainError):
     """Raised for infeasible balance sheets, margins, or target ratios."""
-
-
-class SchemaError(ValueError):
-    """Raised when a CSV or JSON input does not match its documented layout."""
 
 
 @dataclass(frozen=True)
@@ -394,11 +396,7 @@ def ratio_via_assets(net: FinancialNetwork, d, q0: float = 1.0, b=None) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# CSV formats
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Balance-sheet CSV
 
 
 def write_balance_sheets_csv(path: str, sheets) -> None:
@@ -406,14 +404,8 @@ def write_balance_sheets_csv(path: str, sheets) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["bank_id", "total_assets", "capital", "interbank_liabilities"])
         for sh in sheets:
-            w.writerow(
-                [
-                    sh.bank_id,
-                    _fmt(sh.total_assets),
-                    _fmt(sh.capital),
-                    _fmt(sh.interbank_liabilities),
-                ]
-            )
+            values = (sh.total_assets, sh.capital, sh.interbank_liabilities)
+            w.writerow([sh.bank_id, *(repr(float(v)) for v in values)])
 
 
 def read_balance_sheets_csv(path: str) -> list:
@@ -424,79 +416,8 @@ def read_balance_sheets_csv(path: str) -> list:
             "balance-sheet CSV must start with header "
             "bank_id,total_assets,capital,interbank_liabilities"
         )
-    sheets = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise SchemaError(f"line {ln}: expected 4 fields, got {len(row)}")
-        try:
-            sheets.append(
-                BalanceSheet(row[0], float(row[1]), float(row[2]), float(row[3]))
-            )
-        except ValueError as exc:
-            raise SchemaError(f"line {ln}: non-numeric balance-sheet entry") from exc
-    return sheets
-
-
-def write_network_csv(path: str, net: FinancialNetwork) -> None:
-    """Header ``n,alpha_x,alpha_L``, a values row, n liability rows, optional gamma block."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(network_csv_text(net))
-
-
-def _parse_network_rows(rows) -> FinancialNetwork:
-    if not rows or rows[0] != ["n", "alpha_x", "alpha_L"]:
-        raise SchemaError("network CSV must start with header n,alpha_x,alpha_L")
-    if len(rows) < 2:
-        raise SchemaError("network CSV is missing the values row")
-    try:
-        n = int(rows[1][0])
-        alpha_x = float(rows[1][1])
-        alpha_L = float(rows[1][2])
-    except (IndexError, ValueError) as exc:
-        raise SchemaError("network CSV values row must be n,alpha_x,alpha_L") from exc
-    if len(rows) < 2 + n:
-        raise SchemaError(f"network CSV needs {n} liability rows")
-    try:
-        L = np.array(
-            [[float(v) for v in rows[2 + i]] for i in range(n)], dtype=float
-        )
-    except ValueError as exc:
-        raise SchemaError("non-numeric liability entry") from exc
-    if L.shape != (n, n + 1):
-        raise SchemaError(f"liability rows must have {n + 1} columns")
-    Gamma = None
-    rest = [r for r in rows[2 + n:] if r]
-    if rest:
-        if rest[0] != ["gamma"]:
-            raise SchemaError("unexpected trailing rows; only a gamma block is allowed")
-        if len(rest) != 1 + n:
-            raise SchemaError(f"gamma block needs {n} rows")
-        try:
-            Gamma = np.array(
-                [[float(v) for v in rest[1 + i]] for i in range(n)], dtype=float
-            )
-        except ValueError as exc:
-            raise SchemaError("non-numeric gamma entry") from exc
-    return build_network(L, alpha_x, alpha_L, Gamma)
-
-
-def read_network_csv(path: str) -> FinancialNetwork:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return _parse_network_rows(list(csv.reader(fh)))
-
-
-def network_csv_text(net: FinancialNetwork) -> str:
-    """The network CSV as a string (used for byte-stable CLI output)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "alpha_x", "alpha_L"])
-    w.writerow([str(net.n), _fmt(net.alpha_x), _fmt(net.alpha_L)])
-    for i in range(net.n):
-        w.writerow([_fmt(v) for v in net.L[i]])
-    if net.has_cross_ownership:
-        w.writerow(["gamma"])
-        for i in range(net.n):
-            w.writerow([_fmt(v) for v in net.Gamma[i]])
-    return buf.getvalue()
+    return [
+        BalanceSheet(row[0], *finite_floats(row[1:], f"line {ln}", 3))
+        for ln, row in enumerate(rows[1:], start=2)
+        if row
+    ]

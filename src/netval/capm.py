@@ -25,12 +25,12 @@ from .comonotonic import (
     expected_values,
     solvency_thresholds,
 )
-from .network import FinancialNetwork, build_network
+from .network import DomainError, FinancialNetwork, build_network
 
 SIGMA_CONSISTENCY_TOL = 1e-12
 
 
-class PricingError(ValueError):
+class PricingError(DomainError):
     """Raised for inconsistent CAPM parameters or refused bound requests."""
 
 

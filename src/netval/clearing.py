@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FinancialNetwork
+from .network import DomainError, FinancialNetwork
 
 # Wealths within this band of zero are classified as solvent, preventing
 # round-off oscillation of the default indicator.
@@ -143,7 +143,7 @@ def _clear(net: FinancialNetwork, X: np.ndarray):
     the batch.  Nothing is kept between rounds.
     """
     if np.any(X < 0.0) or not np.all(np.isfinite(X)):
-        raise ValueError("endowments must be nonnegative and finite")
+        raise DomainError("endowments must be nonnegative and finite")
     n, m = X.shape
     held = net.Gamma.any(axis=1)
     Pi_p = net.Pi.T @ net.p_bar
@@ -218,7 +218,7 @@ def greatest_clearing(net: FinancialNetwork, x) -> ClearingResult:
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n,):
-        raise ValueError(f"endowments must have shape ({net.n},), got {x.shape}")
+        raise DomainError(f"endowments must have shape ({net.n},), got {x.shape}")
     V, p, E, _, rounds = _clear(net, x[:, None])
     # z is read off the final wealths: under cross-holdings the kernel's
     # default set can keep a bank whose wealth came back nonnegative
@@ -248,5 +248,5 @@ def greatest_clearing_batch(net: FinancialNetwork, X):
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.n:
-        raise ValueError(f"endowment batch must have shape (m, {net.n})")
+        raise DomainError(f"endowment batch must have shape (m, {net.n})")
     return tuple(a.T for a in _clear(net, np.ascontiguousarray(X.T))[:4])

@@ -9,8 +9,8 @@ sheets, and ``simulate``/``mc`` drive the Monte Carlo oracle.
 Output is deterministic: floats are written with ``repr`` (shortest
 round trip), CSV uses LF line endings, JSON is emitted with sorted keys.
 Failures exit with a machine-readable JSON object on stderr and a
-distinct code per error class: 2 usage, 3 missing file, 4 malformed
-input, 5 domain or infeasibility, 1 anything else.
+distinct code per kind: 2 usage, 3 missing file, 4 malformed input
+(``SchemaError``), 5 domain or infeasibility (``DomainError``), 1 anything else.
 """
 
 import argparse
@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import (
-    BoundsError,
     MarginalSet,
     TabulatedQuantile,
     comonotonic_lower,
@@ -31,19 +30,14 @@ from .bounds import (
     jensen_upper,
 )
 from .calibration import (
-    CalibrationError,
-    SchemaError,
     calibrated_network,
     current_ratio,
-    network_csv_text,
     ratio_via_assets,
     ratio_via_liabilities,
     read_balance_sheets_csv,
-    read_network_csv,
 )
 from .capm import (
     CapmParams,
-    PricingError,
     effective_rate,
     merton_baseline,
     price_and_cap,
@@ -54,29 +48,24 @@ from .comonotonic import (
     Empirical,
     FactorModel,
     LogNormal,
-    ModelError,
     PointMass,
     PowerMap,
-    QuadratureError,
     TabulatedMap,
     Uniform01,
     expected_values,
     solvency_thresholds,
 )
-from .network import NetworkError, build_network
-from .oracle import OracleError, mc_expectations, simulate
+from .network import (
+    DomainError,
+    SchemaError,
+    build_network,
+    finite_floats,
+    network_csv_text,
+    read_network_csv,
+)
+from .oracle import mc_expectations, simulate
 
 SCHEMA_VERSION = "1"
-
-_DOMAIN_ERRORS = (
-    NetworkError,
-    ModelError,
-    QuadratureError,
-    BoundsError,
-    PricingError,
-    CalibrationError,
-    OracleError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +298,9 @@ _SCENARIOS = {
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise SchemaError(f"{what}: expected comma-separated numbers") from exc
+    vals = finite_floats([tok for tok in text.split(",") if tok.strip() != ""], what)
     if not vals:
         raise SchemaError(f"{what}: empty list")
-    if not all(map(math.isfinite, vals)):
-        raise SchemaError(f"{what}: expected finite numbers, got {text!r}")
     return np.asarray(vals)
 
 
@@ -401,19 +385,15 @@ def _cmd_statics(args) -> None:
         if args.sweep == "beta":
             idio2 = params.sigma**2 - (g * params.sigma_M) ** 2
             if np.any(idio2 < -1e-12):
-                raise PricingError(
+                raise DomainError(
                     f"beta={g!r} exceeds sigma_i / sigma_M for some bank; "
                     "total volatility cannot be held fixed"
                 )
             gamma = np.sqrt(np.maximum(idio2, 0.0))
             p2, n2 = replace(params, sigma=None, beta=np.full(net.n, g), gamma=gamma), net
         elif args.sweep == "T":
-            if g <= 0.0:
-                raise PricingError("T grid values must be positive")
             p2, n2 = replace(params, sigma=None, T=g), net
         elif args.sweep == "alpha":
-            if not 0.0 <= g <= 1.0:
-                raise PricingError("alpha grid values must lie in [0, 1]")
             p2, n2 = params, build_network(net.L, g, g, net.Gamma)
         else:
             d = current_ratio(net, params.s, q0=params.q0)
@@ -598,7 +578,7 @@ def main(argv=None) -> int:
         return _fail(3, "file-not-found", exc)
     except SchemaError as exc:
         return _fail(4, "schema", exc)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         return _fail(5, "domain", exc)
     except Exception as exc:  # pragma: no cover - defensive
         return _fail(1, "internal", exc)

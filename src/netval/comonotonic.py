@@ -15,18 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clearing import _block_inverse, _haircuts
-from .network import FinancialNetwork
+from .network import DomainError, FinancialNetwork
 
 BISECT_REL_TOL = 1e-10
 BISECT_MAX_ITER = 200
 BRACKET_MAX_DOUBLINGS = 200
 
 
-class ModelError(ValueError):
+class ModelError(DomainError):
     """Raised for factor models that violate monotonicity or shape checks."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(DomainError, RuntimeError):
     """Raised when adaptive integration fails to converge."""
 
 
@@ -262,14 +262,18 @@ class LogNormal:
 
     def moment(self, c: float) -> float:
         """E[q**c]; ``ModelError`` where it exceeds the float range."""
-        try:
-            return math.exp(c * self.mu + 0.5 * c * c * self.sigma * self.sigma)
-        except OverflowError:
-            raise ModelError(f"E[q**c] at exponent c = {c!r} overflows under "
-                             f"lognormal(mu={self.mu!r}, sigma2={self.sigma2!r})") from None
+        return self._exp(c * self.mu + 0.5 * c * c * self.sigma * self.sigma,
+                         f"E[q**c] at exponent c = {c!r}")
 
     def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma2)
+        return self._exp(self.mu + 0.5 * self.sigma2, "E[q]")
+
+    def _exp(self, log_value: float, what: str) -> float:
+        try:
+            return math.exp(log_value)
+        except OverflowError:
+            raise ModelError(f"{what} overflows under "
+                             f"lognormal(mu={self.mu!r}, sigma2={self.sigma2!r})") from None
 
     def quantile(self, u):
         return np.exp(self.mu + self.sigma * norm_ppf(u))

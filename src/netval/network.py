@@ -1,14 +1,43 @@
-"""Financial network data model: liabilities, relative weights, recovery rates."""
+"""Financial network data model: liabilities, relative weights, recovery rates.
+
+Also the two kinds of failure every module raises, and the network CSV format.
+"""
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-class NetworkError(ValueError):
+class DomainError(ValueError):
+    """Raised for well-formed input outside the model's domain (CLI exit 5)."""
+
+
+class SchemaError(ValueError):
+    """Raised when a CSV or JSON input does not match its documented layout (CLI exit 4)."""
+
+
+class NetworkError(DomainError):
     """Raised when a liabilities structure violates the model assumptions."""
+
+
+def finite_floats(cells, where: str, count=None) -> list:
+    """Text ``cells`` as floats by the JSON number rule: a cell that is not a number,
+    or is ``nan`` or infinite, or other than ``count`` cells, is a ``SchemaError``
+    naming ``where``."""
+    try:
+        values = [float(c) for c in cells]
+    except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise SchemaError(f"{where}: expected finite numbers, got {','.join(cells)!r}")
+    if count is not None and len(values) != count:
+        raise SchemaError(f"{where}: expected {count} numbers, got {len(values)}")
+    return values
 
 
 def _readonly(a):
@@ -160,4 +189,55 @@ def network_from_relative(
     L = np.empty((Pi.shape[0], Pi.shape[0] + 1))
     L[:, : Pi.shape[0]] = Pi * p_bar[:, None]
     L[:, Pi.shape[0]] = soc * p_bar
+    return build_network(L, alpha_x, alpha_L, Gamma)
+
+
+# ---------------------------------------------------------------------------
+# Network CSV: header ``n,alpha_x,alpha_L``, a values row, n liability rows and
+# an optional ``gamma`` block of n cross-ownership rows
+
+
+def network_csv_text(net: FinancialNetwork) -> str:
+    """The network CSV as a string (used for byte-stable CLI output)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["n", "alpha_x", "alpha_L"])
+    w.writerow([str(net.n), repr(float(net.alpha_x)), repr(float(net.alpha_L))])
+    for row in net.L.tolist():
+        w.writerow(map(repr, row))
+    if net.has_cross_ownership:
+        w.writerow(["gamma"])
+        for row in net.Gamma.tolist():
+            w.writerow(map(repr, row))
+    return buf.getvalue()
+
+
+def write_network_csv(path: str, net: FinancialNetwork) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(network_csv_text(net))
+
+
+def read_network_csv(path: str) -> FinancialNetwork:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["n", "alpha_x", "alpha_L"]:
+        raise SchemaError("network CSV must start with header n,alpha_x,alpha_L")
+    try:
+        n = int(rows[1][0]) if len(rows) > 1 and len(rows[1]) >= 3 else 0
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise SchemaError("line 2: network CSV values row must be n,alpha_x,alpha_L with n >= 1")
+    alpha_x, alpha_L = finite_floats(rows[1][1:3], "line 2")
+    if len(rows) < 2 + n:
+        raise SchemaError(f"network CSV needs {n} liability rows")
+    L = [finite_floats(rows[k], f"line {k + 1}", n + 1) for k in range(2, 2 + n)]
+    Gamma = None
+    rest = [k for k in range(2 + n, len(rows)) if rows[k]]
+    if rest:
+        if rows[rest[0]] != ["gamma"]:
+            raise SchemaError(f"line {rest[0] + 1}: only a gamma block may follow the liabilities")
+        if len(rest) != 1 + n:
+            raise SchemaError(f"gamma block needs {n} rows")
+        Gamma = [finite_floats(rows[k], f"line {k + 1}", n) for k in rest[1:]]
     return build_network(L, alpha_x, alpha_L, Gamma)

@@ -21,7 +21,7 @@ from .clearing import (
     greatest_clearing_batch,
 )
 from .comonotonic import BRACKET_MAX_DOUBLINGS, ExpectedValues, ModelError, norm_ppf
-from .network import FinancialNetwork
+from .network import DomainError, FinancialNetwork
 
 REGION_MAX_BANKS = 12
 THRESHOLD_REL_TOL = 1e-12  # threshold bisection stops at this width relative to max(q, 1)
@@ -38,7 +38,7 @@ _KIND_TAGS = {
 _U_FLOOR = 1e-300
 
 
-class OracleError(ValueError):
+class OracleError(DomainError):
     """Raised for invalid simulation specs or oversized region requests."""
 
 
@@ -256,10 +256,16 @@ class MCExpectations:
 
 
 def _mean_se(A: np.ndarray):
-    # banks-major (k, m): numpy sums the contiguous path axis pairwise
+    # banks-major (k, m): numpy sums the contiguous path axis pairwise.  Rows are scaled by 2**-e
+    # (exact) so no square overflows, then take the steps and bits of ``std(ddof=1)`` in place.
     m = A.shape[1]
-    se = A.std(axis=1, ddof=1) / math.sqrt(m) if m > 1 else np.zeros(A.shape[0])
-    return A.mean(axis=1), se
+    e = np.frexp(np.maximum(A.max(axis=1), -A.min(axis=1)))[1]
+    S = np.ldexp(A, -e[:, None])
+    mean = S.mean(axis=1, keepdims=True)
+    S -= mean
+    S *= S
+    se = np.sqrt(S.sum(axis=1) / (m - 1)) / math.sqrt(m) if m > 1 else np.zeros(A.shape[0])
+    return np.ldexp(mean[:, 0], e), np.ldexp(se, e)
 
 
 def mc_expectations(net: FinancialNetwork, batch: ScenarioBatch) -> MCExpectations:

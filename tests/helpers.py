@@ -1,5 +1,8 @@
 """Shared generators for property tests."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 
 from netval import (
@@ -79,6 +82,56 @@ def upper_picard_clearing(net, x):
             return W
         V = W
     raise AssertionError("Picard iteration did not converge")
+
+
+def _solve_exact(A, b):
+    """``A^{-1} b`` by Gauss-Jordan elimination over ``Fraction``s."""
+    n = len(b)
+    M = [row + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col] / M[col][col]
+                M[r] = [a - f * c for a, c in zip(M[r], M[col])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def exact_clearing(net, x):
+    """Greatest clearing wealths in exact rational arithmetic, ``(V, z)``.
+
+    Every float of ``net`` and ``x`` is read as the ``Fraction`` it stands
+    for.  For each of the ``2^n`` default sets ``z`` it solves
+    ``M(z) V = a_x(z) x - c(z)`` by elimination (the system ``dense_system``
+    writes in floats) and keeps the consistent solutions, those with
+    ``V_i < 0`` exactly where ``z_i = 1``.  The clearing vectors form a
+    complete lattice (Tarski), so their componentwise maximum is one of
+    them: the greatest.  Shares no code with the library; ``n <= 6``.
+    """
+    n = net.n
+    assert n <= 6
+    F = Fraction
+    Pi = [[F(v) for v in row] for row in net.Pi.tolist()]
+    G = [[F(v) for v in row] for row in net.Gamma.tolist()]
+    p_bar = [F(v) for v in net.p_bar.tolist()]
+    x = [F(v) for v in np.asarray(x, dtype=float).tolist()]
+    ax, aL = F(net.alpha_x), F(net.alpha_L)
+    inflow = [sum(Pi[j][i] * p_bar[j] for j in range(n)) for i in range(n)]
+    found = []
+    for z in itertools.product((0, 1), repeat=n):
+        b = [aL if zi else 1 for zi in z]
+        # K[i][j] = b_i (Pi[j][i] z_j + Gamma[j][i] (1 - z_j))
+        M = [[(i == j) - b[i] * (Pi[j][i] if z[j] else G[j][i]) for j in range(n)]
+             for i in range(n)]
+        R = [(ax if z[i] else 1) * x[i] - (p_bar[i] - b[i] * inflow[i]) for i in range(n)]
+        V = _solve_exact(M, R)
+        if all((v < 0) == bool(zi) for v, zi in zip(V, z)):
+            found.append((V, z))
+    top = [max(V[i] for V, _ in found) for i in range(n)]
+    greatest = [(V, z) for V, z in found if V == top]
+    assert len(greatest) == 1, "the clearing vectors have no greatest element"
+    return greatest[0]
 
 
 def random_corr(rng, n):

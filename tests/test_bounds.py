@@ -12,6 +12,7 @@ from netval import (
     FactorModel,
     LogNormal,
     MarginalSet,
+    ModelError,
     PointMass,
     PowerMap,
     TabulatedQuantile,
@@ -92,6 +93,14 @@ def test_lower_at_most_jensen(two_bank):
     hi = jensen_upper(two_bank, marg.means())
     assert np.all(lo.Ep <= hi.Ep + 1e-10)
     assert np.all(lo.EV <= hi.EV + 1e-10)
+
+
+def test_jensen_refuses_an_overflowing_lognormal_mean(two_bank):
+    # E[q] = exp(709 + 2) is past the float range: a model error, not OverflowError
+    marg = MarginalSet([LogNormal(709.0, 4.0), LogNormal(0.0, 1.0)])
+    with pytest.raises(ModelError, match=r"E\[q\] overflows under lognormal\(mu=709.0"):
+        jensen_upper(two_bank, marg.means())
+    assert LogNormal(700.0, 4.0).mean() == math.exp(700.0 + 0.5 * 4.0)
 
 
 def test_bankruptcy_costs_rejected():

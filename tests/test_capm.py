@@ -522,6 +522,14 @@ def test_unknown_baseline_mode(two_bank):
         merton_baseline(two_bank, bench_params(), "no_interbank")
 
 
+def test_params_for_another_bank_count(two_bank):
+    params = CapmParams(r=0.0, T=1.0, sigma_M=1.0, beta=[1.0] * 3, gamma=[0.0] * 3, s=[1.0] * 3)
+    with pytest.raises(PricingError, match="params cover 3 banks, network has 2"):
+        merton_baseline(two_bank, params, "risky_interbank")
+    with pytest.raises(PricingError, match="params cover 3 banks, network has 2"):
+        price_and_cap(two_bank, params, "lower")
+
+
 # ---------------------------------------------------------------------------
 # comparative statics in the recovery rate
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from helpers import (
     appb_p10,
     dense_map,
     dense_system,
+    exact_clearing,
     make_cycle,
     random_net,
     upper_picard_clearing,
@@ -713,3 +715,71 @@ def test_small_nets_agree_at_scale(alpha_x, alpha_L):
             assert np.max(np.abs(res.V - v)) <= 1e-12 * scale
         mixed += int(np.sum((Z.sum(axis=1) > 0) & (Z.sum(axis=1) < n)))
     assert mixed >= 1000
+
+
+# The exact default-set oracle (helpers.exact_clearing) against the float references
+# and the kernel.  Rows spread over 0.2-1.3 p_bar mix solvent and defaulting banks.
+EXACT_ALPHAS = [(1.0, 1.0), (0.5, 0.5), (0.7, 0.3), (0.3, 0.9)]
+
+
+def _exact_rows(rng, n, alpha_x, alpha_L, cross_holdings):
+    Gamma = None
+    if cross_holdings:
+        Gamma = rng.uniform(0.0, 0.9 / n, (n, n))
+        Gamma[rng.random((n, n)) < 0.5] = 0.0
+        np.fill_diagonal(Gamma, 0.0)
+    net = build_network(random_net(rng, n=n).L, alpha_x, alpha_L, Gamma=Gamma)
+    return net, net.p_bar * rng.uniform(0.2, 1.3, (5, n))
+
+
+@pytest.mark.parametrize("alpha_x, alpha_L", EXACT_ALPHAS)
+def test_exact_oracle_matches_picard_and_regions_under_cross_holdings(alpha_x, alpha_L):
+    # 40 rows on 2-5-bank nets with Gamma != 0, about 0.5 s; budget 2 s
+    t0 = time.monotonic()
+    rng = np.random.default_rng(13)
+    defaults = []
+    for _ in range(8):
+        net, X = _exact_rows(rng, int(rng.integers(2, 6)), alpha_x, alpha_L, True)
+        assert net.has_cross_ownership
+        tol = 1e-9 * max(1.0, float(net.p_bar.max()))
+        for x, z_regions in zip(X, classify_batch(net, X)):
+            V, z = exact_clearing(net, x)
+            assert tuple(z_regions) == z
+            assert np.max(np.abs(np.array(V, dtype=float) - upper_picard_clearing(net, x))) <= tol
+            defaults.append(sum(z) / net.n)
+    assert 0.1 < np.mean(defaults) < 0.9
+    assert time.monotonic() - t0 < 2.0
+
+
+@pytest.mark.parametrize("alpha_x, alpha_L", EXACT_ALPHAS)
+def test_kernel_matches_exact_oracle_without_cross_holdings(alpha_x, alpha_L):
+    # 40 rows on 2-5-bank nets with Gamma = 0, about 0.2 s; budget 1 s
+    t0 = time.monotonic()
+    rng = np.random.default_rng(14)
+    for _ in range(8):
+        net, X = _exact_rows(rng, int(rng.integers(2, 6)), alpha_x, alpha_L, False)
+        V_kernel, _, _, Z_kernel = greatest_clearing_batch(net, X)
+        for x, v, z_kernel in zip(X, V_kernel, Z_kernel):
+            V, z = exact_clearing(net, x)
+            assert tuple(z_kernel) == z
+            assert np.max(np.abs(v - np.array(V, dtype=float))) <= 1e-12 * float(net.p_bar.max())
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_exact_zero_wealth_is_solvent():
+    # every entry is dyadic, so the floats are the rationals: with all banks
+    # solvent bank 0 has wealth x_0 + 2 - 8 = 0 exactly.  Its default would be
+    # consistent too (V = (-4, 1)), but the greatest clearing vector keeps it solvent.
+    net = build_network([[0.0, 4.0, 4.0], [2.0, 0.0, 2.0]], 0.5, 0.5)
+    V, z = exact_clearing(net, [6.0, 3.0])
+    assert (V, z) == ([0, 3], (0, 0))
+    res = greatest_clearing(net, [6.0, 3.0])
+    assert res.V.tolist() == [0.0, 3.0] and res.z.tolist() == [0, 0]
+    # one ulp below, bank 0 defaults and loses half its assets; the kernel's
+    # ZERO_TOL band still reads that as solvent, so it is checked below the band
+    V, z = exact_clearing(net, [np.nextafter(6.0, 0.0), 3.0])
+    assert z == (1, 0) and float(V[0]) < -3.9
+    V, z = exact_clearing(net, [6.0 - 2.0**-20, 3.0])
+    res = greatest_clearing(net, [6.0 - 2.0**-20, 3.0])
+    assert z == (1, 0) and res.z.tolist() == [1, 0]
+    assert res.V.tolist() == [float(v) for v in V]

@@ -455,7 +455,7 @@ def test_expect_overflow_exits_5(tmp_path, two_bank_csv, power, message):
     assert err["type"] == "domain" and err["message"].startswith(message)
 
 
-@pytest.mark.parametrize("x", ["nan,2", "-1,2", "inf,2", "1,2,3", "1"])
+@pytest.mark.parametrize("x", ["nan,2", "-1,2", "inf,2", "1,2,3", "1", "1,two", "", " , "])
 def test_clear_rejects_bad_endowments(two_bank_csv, capsys, x):
     assert cli.main(["clear", two_bank_csv, f"--x={x}"]) == 4
     err = json.loads(capsys.readouterr().err)
@@ -476,6 +476,118 @@ def test_mc_rejects_negative_atoms(tmp_path, two_bank_csv, capsys):
     err = json.loads(captured.err)
     assert err["error"]["type"] == "domain"
     assert "atoms" in err["error"]["message"]
+
+
+def _error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)["error"]
+
+
+NET_HEAD = "n,alpha_x,alpha_L\n2,1.0,1.0\n"
+NET_L = NET_HEAD + "0.0,7.0,3.0\n3.0,0.0,3.0\n"
+
+
+# CSV cells follow the JSON number rule, and each fault names its line
+@pytest.mark.parametrize("text, message", [
+    ("n,alpha_x,alpha_L\n",
+     "line 2: network CSV values row must be n,alpha_x,alpha_L with n >= 1"),
+    ("n,alpha_x,alpha_L\ntwo,1.0,1.0\n",
+     "line 2: network CSV values row must be n,alpha_x,alpha_L with n >= 1"),
+    ("n,alpha_x,alpha_L\n2,1.0\n",
+     "line 2: network CSV values row must be n,alpha_x,alpha_L with n >= 1"),
+    ("n,alpha_x,alpha_L\n0,1.0,1.0\n",
+     "line 2: network CSV values row must be n,alpha_x,alpha_L with n >= 1"),
+    ("n,alpha_x,alpha_L\n2,1.0,nan\n", "line 2: expected finite numbers, got '1.0,nan'"),
+    (NET_HEAD + "0.0,7.0,3.0\n", "network CSV needs 2 liability rows"),
+    (NET_HEAD + "0.0,7.0,3.0\n3.0,x,3.0\n", "line 4: expected finite numbers, got '3.0,x,3.0'"),
+    (NET_HEAD + "0.0,7.0,3.0\n3.0,nan,3.0\n",
+     "line 4: expected finite numbers, got '3.0,nan,3.0'"),
+    (NET_HEAD + "0.0,7.0\n3.0,0.0,3.0\n", "line 3: expected 3 numbers, got 2"),
+    (NET_L + "\n1.0\n", "line 6: only a gamma block may follow the liabilities"),
+    (NET_L + "gamma\n0.0,0.1\n", "gamma block needs 2 rows"),
+    (NET_L + "gamma\n0.0,0.1\n0.1,inf\n", "line 7: expected finite numbers, got '0.1,inf'"),
+    (NET_L + "gamma\n0.0,0.1,0.0\n0.1,0.0\n", "line 6: expected 2 numbers, got 3"),
+], ids=["no-values", "values-n", "values-short", "values-zero", "values-nan",
+        "few-rows", "cell-text", "cell-nan", "columns", "trailing", "gamma-short",
+        "gamma-inf", "gamma-columns"])
+def test_network_csv_schema_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "net.csv"
+    path.write_text(text)
+    assert cli.main(["clear", str(path), "--x", "1,1"]) == 4
+    assert _error(capsys) == {"type": "schema", "message": message}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("A,10,2,4\nB,10,3\n", "line 3: expected 3 numbers, got 2"),
+    ("A,10,2,four\n", "line 2: expected finite numbers, got '10,2,four'"),
+    ("A,10,2,4\n\nB,nan,3,5\n", "line 4: expected finite numbers, got 'nan,3,5'"),
+])
+def test_balance_sheet_csv_schema_errors(tmp_path, capsys, rows, message):
+    sheets = tmp_path / "sheets.csv"
+    sheets.write_text("bank_id,total_assets,capital,interbank_liabilities\n" + rows)
+    assert cli.main(["calibrate", str(sheets)]) == 4
+    assert _error(capsys) == {"type": "schema", "message": message}
+
+
+@pytest.mark.parametrize("sweep, grid, message", [
+    ("beta", "0.5,1.5", "beta=1.5 exceeds sigma_i / sigma_M for some bank; "
+                        "total volatility cannot be held fixed"),
+    ("T", "0", "need finite r and maturity T > 0"),
+    ("alpha", "1.5", "alpha_x must lie in [0, 1], got 1.5"),
+], ids=["beta", "T", "alpha"])
+def test_statics_grid_outside_the_domain(two_bank_csv, beta1_params, capsys, sweep, grid, message):
+    # the library's own checks refuse the grid point
+    argv = ["statics", two_bank_csv, beta1_params, "--sweep", sweep, "--grid", grid]
+    assert cli.main(argv) == 5
+    assert _error(capsys) == {"type": "domain", "message": message}
+
+
+def test_price_rejects_params_for_another_bank_count(tmp_path, two_bank_csv, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"r": 0.0, "T": 1.0, "sigma_M": 1.0, "beta": [1.0] * 3,
+                                  "gamma": [0.0] * 3, "s": [3.0, 4.0, 5.0]}))
+    assert cli.main(["price", two_bank_csv, str(params)]) == 5
+    assert _error(capsys) == {"type": "domain", "message": "params cover 3 banks, network has 2"}
+
+
+def _power_scenario(tmp_path, sigma2):
+    # bank 1's endowment is 1e300 q**2, which stays finite at 100 paths of
+    # lognormal(0, 4) and overflows at 1000 paths of lognormal(0, 16)
+    maps = [{"type": "power", "coef": 1e300, "exponent": 2.0},
+            {"type": "power", "coef": 1.0, "exponent": 1.0}]
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"kind": "comonotonic-factor", "model": {
+        "maps": maps, "dist": {"kind": "lognormal", "mu": 0.0, "sigma2": sigma2}}}))
+    return str(path)
+
+
+def test_mc_standard_errors_near_the_float_limit(tmp_path, two_bank_csv, capsys):
+    import warnings
+
+    from netval import FactorModel, LogNormal, PowerMap, simulate
+
+    scenario = _power_scenario(tmp_path, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["mc", two_bank_csv, scenario, "--paths", "100", "--seed", "0", "--format", "json"]
+        assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    bank1 = json.loads(captured.out)["rows"][0]
+    model = FactorModel([PowerMap(1e300, 2.0), PowerMap(1.0, 1.0)], LogNormal(0.0, 4.0))
+    X = simulate({"kind": "comonotonic-factor", "model": model}, 100, 0).X
+    # bank 1 never defaults, so V = x - 7 and its spread is that of the draws
+    want = 1e300 * np.std(X[:, 0] / 1e300, ddof=1) / 10.0
+    assert bank1["pd"] == 0.0 and 1e302 < bank1["se_EV"] < 1e303
+    assert bank1["se_EV"] == bank1["se_EE"] == pytest.approx(want, rel=1e-12)
+
+
+def test_mc_overflowing_draws_exit_5(tmp_path, two_bank_csv, capsys):
+    scenario = _power_scenario(tmp_path, 16.0)
+    assert cli.main(["mc", two_bank_csv, scenario, "--paths", "1000"]) == 5
+    assert _error(capsys) == {"type": "domain",
+                              "message": "endowments must be nonnegative and finite"}
 
 
 AFFINE = {"type": "affine", "shift": 0.0, "slope": 3.0}

@@ -334,6 +334,17 @@ def test_exact_expectations_rejects_negative_atom(two_bank):
         exact_expectations(two_bank, np.array([[-1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("atoms, probs, match", [
+    ([1.0, 2.0], [1.0], "need"),
+    ([[1.0, 2.0], [3.0, 4.0]], [1.0], "need"),
+    ([[1.0, 2.0], [3.0, 4.0]], [0.7, 0.7], "sum to 1"),
+    ([[1.0, 2.0], [3.0, 4.0]], [1.5, -0.5], "nonnegative"),
+], ids=["flat-atoms", "prob-count", "sum", "negative"])
+def test_exact_expectations_rejects_malformed_law(two_bank, atoms, probs, match):
+    with pytest.raises(OracleError, match=match):
+        exact_expectations(two_bank, np.array(atoms), np.array(probs))
+
+
 def test_se_scaling_rate(two_bank):
     spec = factor_spec()
     small = mc_expectations(two_bank, simulate(spec, 10_000, 5))
