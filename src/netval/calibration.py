@@ -300,6 +300,8 @@ def calibrated_network(
     Returns (network, calibration).  Interbank row and column margins
     both equal the reported interbank liabilities.
     """
+    if not 0.0 <= density <= 1.0:
+        raise CalibrationError(f"mask density must lie in [0, 1], got {density}")
     calib = calibrate(sheets)
     n = calib.p_bar.size
     # a sparse random mask can be infeasible for the margins; retry with
@@ -343,25 +345,21 @@ def make_synthetic_sheets(n: int = 87, seed: int = 20160901) -> list:
 # Debt-firm-value ratio constructions
 
 
-def _cash(b, n: int) -> np.ndarray:
-    return np.zeros(n) if b is None else np.asarray(b, dtype=float)
-
-
-def current_ratio(net: FinancialNetwork, s, q0: float = 1.0, b=None) -> np.ndarray:
-    """d = p_bar / (cash + s q0 + interbank assets)."""
+def current_ratio(net: FinancialNetwork, s, q0: float = 1.0) -> np.ndarray:
+    """d = p_bar / (s q0 + interbank assets)."""
     s = np.asarray(s, dtype=float)
-    value = _cash(b, net.n) + s * q0 + net.Pi.T @ net.p_bar
+    value = s * q0 + net.Pi.T @ net.p_bar
     if np.any(value <= 0.0):
         raise CalibrationError("firm value must be positive to define a ratio")
     return net.p_bar / value
 
 
 def ratio_via_liabilities(
-    net: FinancialNetwork, d, s, q0: float = 1.0, b=None
+    net: FinancialNetwork, d, s, q0: float = 1.0
 ) -> FinancialNetwork:
     """Rescale total liabilities so ratios hit ``d``, holding s and Pi fixed.
 
-    Solves (I - diag(d) Pi^T) p_bar = diag(d)(b + s q0).  Feasibility
+    Solves (I - diag(d) Pi^T) p_bar = diag(d) s q0.  Feasibility
     requires the spectral radius of diag(d) Pi^T below one and a strictly
     positive solution.
     """
@@ -374,19 +372,19 @@ def ratio_via_liabilities(
         raise CalibrationError(
             "infeasible ratios: diag(d) Pi^T has spectral radius >= 1"
         )
-    rhs = d * (_cash(b, net.n) + s * q0)
+    rhs = d * (s * q0)
     p_new = np.linalg.solve(np.eye(net.n) - A, rhs)
     if np.any(p_new <= 0.0):
         raise CalibrationError("infeasible ratios: implied total liabilities not positive")
     return network_from_relative(net.Pi, p_new, net.alpha_x, net.alpha_L, net.Gamma)
 
 
-def ratio_via_assets(net: FinancialNetwork, d, q0: float = 1.0, b=None) -> np.ndarray:
+def ratio_via_assets(net: FinancialNetwork, d, q0: float = 1.0) -> np.ndarray:
     """Back out investments hitting ratios ``d`` with liabilities fixed."""
     d = np.asarray(d, dtype=float)
     if d.shape != (net.n,) or np.any(d <= 0.0):
         raise CalibrationError("ratios must be positive, one per bank")
-    s = (net.p_bar / d - _cash(b, net.n) - net.Pi.T @ net.p_bar) / q0
+    s = (net.p_bar / d - net.Pi.T @ net.p_bar) / q0
     bad = np.nonzero(s < 0.0)[0]
     if bad.size:
         raise CalibrationError(

@@ -107,37 +107,37 @@ class CapmParams:
         raise PricingError(f"which must be 'lower' or 'upper', got {which!r}")
 
 
-def hat_eta(z, qT: float, params: CapmParams) -> np.ndarray:
-    """Growth factor exp((1 - z/sigma_M)(r + z sigma_M/2) T) * qT^(z/sigma_M)."""
-    if qT <= 0.0:
-        raise PricingError("qT must be positive")
-    z = np.asarray(z, dtype=float)
-    return _eta_prefactor(z, params) * qT ** (z / params.sigma_M)
+def _eta_maps(z, params: CapmParams, extra=0.0, shift=0.0):
+    """Per-bank endowment maps f_i(q) = (s_i q0 + extra_i) hat_eta_i(z_i, q) + shift_i.
 
-
-def _eta_prefactor(z, params: CapmParams) -> np.ndarray:
+    hat_eta(z, q) = exp((1 - z/sigma_M)(r + z sigma_M/2) T) q^(z/sigma_M) is the
+    growth factor of an asset of volatility z; ``extra`` adds risky own
+    assets and ``shift`` riskless cash at maturity.
+    """
     z = np.asarray(z, dtype=float)
     r, T, sM = params.r, params.T, params.sigma_M
-    return np.exp((1.0 - z / sM) * (r + 0.5 * z * sM) * T)
+    coef = (params.s * params.q0 + extra) * np.exp((1.0 - z / sM) * (r + 0.5 * z * sM) * T)
+    shift = np.broadcast_to(shift, coef.shape)
+    return [PowerMap(float(c), float(e), float(b)) for c, e, b in zip(coef, z / sM, shift)]
 
 
-def _eta_maps(z, params: CapmParams):
-    """Per-bank endowment maps f_i(q) = s_i q0 * hat_eta_i(z, q)."""
-    coef = params.s * params.q0 * _eta_prefactor(z, params)
-    expo = np.asarray(z, dtype=float) / params.sigma_M
-    return [PowerMap(float(c), float(e)) for c, e in zip(coef, expo)]
-
-
-def _capm_model(net: FinancialNetwork, params: CapmParams, which: str) -> FactorModel:
-    """The eta-map factor model of the chosen bound on ``net``."""
+def _capm_model(net: FinancialNetwork, params: CapmParams, z, extra=0.0, shift=0.0):
+    """The eta-map factor model on ``net`` for asset volatilities ``z``."""
     if params.n != net.n:
         raise PricingError(f"params cover {params.n} banks, network has {net.n}")
-    return FactorModel(_eta_maps(params.z_vector(which), params), params.factor_dist())
+    return FactorModel(_eta_maps(z, params, extra, shift), params.factor_dist())
+
+
+def _discounted(net: FinancialNetwork, params: CapmParams, model: FactorModel):
+    """Per-unit debt price and currency market cap per bank, discounted by e^{-rT}."""
+    ev = expected_values(net, model)
+    disc = math.exp(-params.r * params.T)
+    return disc * ev.Ep / net.p_bar, disc * ev.EE
 
 
 def capm_thresholds(net: FinancialNetwork, params: CapmParams, which: str) -> SolvencyThresholds:
     """Normalized-factor solvency thresholds for the chosen bound."""
-    return solvency_thresholds(net, _capm_model(net, params, which))
+    return solvency_thresholds(net, _capm_model(net, params, params.z_vector(which)))
 
 
 def _require_full_recovery(net: FinancialNetwork, force: bool):
@@ -161,9 +161,7 @@ def price_and_cap(
     conditional one (z = beta sigma_M).
     """
     _require_full_recovery(net, force)
-    ev = expected_values(net, _capm_model(net, params, which))
-    disc = math.exp(-params.r * params.T)
-    return disc * ev.Ep / net.p_bar, disc * ev.EE
+    return _discounted(net, params, _capm_model(net, params, params.z_vector(which)))
 
 
 def debt_price_bound(
@@ -180,58 +178,34 @@ def market_cap(
     return price_and_cap(net, params, which, force)[1]
 
 
-def effective_rate(price: float, p_bar_i: float, T: float) -> float:
-    """Continuously compounded yield from a discounted currency price."""
-    if price < 0.0:
+def effective_rate(price, p_bar, T: float):
+    """Continuously compounded yield ``(log p_bar - log price) / T`` from
+    discounted currency prices, elementwise; ``inf`` where a price is zero."""
+    price = np.asarray(price, dtype=float)
+    if np.any(price < 0.0):
         raise PricingError("price must be nonnegative")
-    if price == 0.0:
+    if np.any(price == 0.0):
         warnings.warn("zero debt price; effective rate is infinite", RuntimeWarning)
-        return np.inf
-    return (math.log(p_bar_i) - math.log(price)) / T
+    with np.errstate(divide="ignore"):
+        rate = (np.log(p_bar) - np.log(price)) / T
+    return rate[()]
 
 
-@dataclass(frozen=True)
-class MertonBaseline:
-    """Single-firm structural prices ignoring default contagion."""
+def merton_baseline(net: FinancialNetwork, params: CapmParams, mode: str):
+    """Per-unit debt price and market cap of each bank standing alone.
 
-    price: np.ndarray
-    rate: np.ndarray
-    market_cap: np.ndarray
-
-
-def merton_baseline(net: FinancialNetwork, params: CapmParams, mode: str) -> MertonBaseline:
-    """Price each bank standalone, with interbank claims paid in full.
-
-    ``riskfree_interbank`` books the interbank claims as cash at
-    maturity; ``risky_interbank`` folds their value into the bank's own
-    risky position.  Either way counterparty default is assumed away, so
-    comparing with the network price isolates the contagion premium.
+    The standalone network keeps ``net``'s banks and recovery rates but
+    owes every ``p_bar`` to society, so no bank's default reaches another.
+    ``riskfree_interbank`` books the interbank claims as cash at maturity;
+    ``risky_interbank`` folds their value into the bank's own risky
+    position.  Either way counterparty default is assumed away, so
+    comparing with ``price_and_cap`` isolates the contagion premium.
     """
     if mode not in ("riskfree_interbank", "risky_interbank"):
         raise PricingError(f"unknown baseline mode {mode!r}")
-    if params.n != net.n:
-        raise PricingError(f"params cover {params.n} banks, network has {net.n}")
-    r, T, sM = params.r, params.T, params.sigma_M
-    disc = math.exp(-r * T)
-    dist = params.factor_dist()
     ib = net.interbank_assets()
-    pre = _eta_prefactor(params.sigma, params)
-
-    price = np.empty(net.n)
-    cap = np.empty(net.n)
-    for i in range(net.n):
-        pb = float(net.p_bar[i])
-        one = build_network([[0.0, pb]], net.alpha_x, net.alpha_L)
-        expo = float(params.sigma[i] / sM)
-        if mode == "riskfree_interbank":
-            fmap = PowerMap(float(params.s[i] * params.q0 * pre[i]), expo, float(ib[i]))
-        else:
-            fmap = PowerMap(float((params.s[i] * params.q0 + ib[i]) * pre[i]), expo)
-        ev = expected_values(one, FactorModel([fmap], dist))
-        price[i] = disc * float(ev.Ep[0]) / pb
-        cap[i] = disc * float(ev.EE[0])
-
-    rate = np.array(
-        [effective_rate(price[i] * net.p_bar[i], net.p_bar[i], T) for i in range(net.n)]
-    )
-    return MertonBaseline(price=price, rate=rate, market_cap=cap)
+    extra, shift = (0.0, ib) if mode == "riskfree_interbank" else (ib, 0.0)
+    model = _capm_model(net, params, params.sigma, extra, shift)
+    L = np.zeros((net.n, net.n + 1))
+    L[:, net.n] = net.p_bar
+    return _discounted(build_network(L, net.alpha_x, net.alpha_L), params, model)

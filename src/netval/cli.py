@@ -350,11 +350,12 @@ def _cmd_bounds(args) -> None:
 
 
 def _price_side(net, params, which, force):
-    """Price, effective rate and market cap per bank for one bound."""
-    price, cap = price_and_cap(net, params, which, force=force)
-    pay = zip(price * net.p_bar, net.p_bar)
-    rate = np.array([effective_rate(float(c), float(pb), params.T) for c, pb in pay])
-    return price, rate, cap
+    """Price, effective rate and market cap per bank for one bound or baseline."""
+    if which.startswith("baseline_"):
+        price, cap = merton_baseline(net, params, which.removeprefix("baseline_") + "_interbank")
+    else:
+        price, cap = price_and_cap(net, params, which, force=force)
+    return price, effective_rate(price * net.p_bar, net.p_bar, params.T), cap
 
 
 def _cmd_price(args) -> None:
@@ -362,12 +363,12 @@ def _cmd_price(args) -> None:
     params = _capm_from_json(_load_json(args.params))
     guarantee = "bound" if net.full_recovery else "no bound guarantee"
     sides = ("lower", "upper") if args.which == "both" else (args.which,)
-    parts = [(which, *_price_side(net, params, which, args.force), guarantee) for which in sides]
     if args.baseline != "none":
-        b = merton_baseline(net, params, args.baseline + "_interbank")
-        parts.append((f"baseline_{args.baseline}", b.price, b.rate, b.market_cap, "baseline"))
+        sides += (f"baseline_{args.baseline}",)
     rows = []
-    for which, price, rate, cap, g in parts:
+    for which in sides:
+        price, rate, cap = _price_side(net, params, which, args.force)
+        g = "baseline" if which.startswith("baseline_") else guarantee
         rows += _bank_rows(net.n, which=which, price=price, rate=rate, market_cap=cap, guarantee=g)
     _emit(args, rows)
 
@@ -420,13 +421,10 @@ def _cmd_statics(args) -> None:
 
 def _cmd_calibrate(args) -> None:
     sheets = read_balance_sheets_csv(args.sheets)
-    net, calib = calibrated_network(
-        sheets,
-        alpha_x=args.alpha_x,
-        alpha_L=args.alpha_L,
-        seed=args.seed,
-        density=args.density,
-    )
+    alpha_x = finite_floats([args.alpha_x], "--alpha-x")[0]
+    alpha_L = finite_floats([args.alpha_L], "--alpha-L")[0]
+    density = finite_floats([args.density], "--density")[0]
+    net, calib = calibrated_network(sheets, alpha_x, alpha_L, args.seed, density)
     if args.network_out is not None:
         _write_text(args.network_out, network_csv_text(net))
     columns = {k: getattr(calib, k) for k in ("s", "L_ext", "p_bar", "interbank")}
@@ -530,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="balance sheets to network")
     p.add_argument("sheets", help="balance sheet CSV")
-    p.add_argument("--alpha-x", type=float, default=1.0, dest="alpha_x")
-    p.add_argument("--alpha-L", type=float, default=1.0, dest="alpha_L")
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--alpha-x", default="1.0", dest="alpha_x")
+    p.add_argument("--alpha-L", default="1.0", dest="alpha_L")
+    p.add_argument("--density", default="0.5", help="mask density in [0, 1]")
     p.add_argument("--network-out", default=None, help="also write the network CSV here")
     _add_common(p)
     _add_seed(p)

@@ -167,6 +167,8 @@ def simulate(spec: dict, n_paths: int, seed: int, path_offset: int = 0) -> Scena
     """
     if n_paths <= 0:
         raise OracleError("n_paths must be positive")
+    if path_offset < 0:
+        raise OracleError(f"path_offset must be nonnegative, got {path_offset}")
     kind = spec.get("kind")
     if kind not in _KIND_TAGS:
         raise OracleError(f"unknown scenario kind {kind!r}")

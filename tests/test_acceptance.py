@@ -67,12 +67,7 @@ def bench_params(**kw):
 
 def rates_for(net, params, which="lower", force=False):
     price = debt_price_bound(net, params, which, force=force)
-    return np.array(
-        [
-            effective_rate(float(price[i] * net.p_bar[i]), float(net.p_bar[i]), params.T)
-            for i in range(net.n)
-        ]
-    )
+    return effective_rate(price * net.p_bar, net.p_bar, params.T)
 
 
 def test_criterion_1_payment_fixtures():
@@ -211,7 +206,8 @@ def test_criterion_6_rate_comparative_statics():
     for T in np.arange(0.25, 5.0 + 1e-9, 0.25):
         params = bench_params(T=float(T))
         full = rates_for(net, params)
-        base = merton_baseline(net, params, "riskfree_interbank").rate
+        price, _ = merton_baseline(net, params, "riskfree_interbank")
+        base = effective_rate(price * net.p_bar, net.p_bar, params.T)
         assert np.all(full >= base - 1e-12), f"T={T}"
 
     d1_grid = np.round(np.arange(0.2, 3.0 + 1e-9, 0.2), 10)

@@ -431,13 +431,6 @@ def test_ratio_assets_infeasible(two_bank):
         ratio_via_assets(two_bank, [3.5, 0.5])
 
 
-def test_ratio_with_cash_position(two_bank):
-    b = np.array([1.0, 2.0])
-    d = current_ratio(two_bank, [3.0, 4.0], b=b)
-    s = ratio_via_assets(two_bank, d, b=b)
-    assert np.allclose(s, [3.0, 4.0], atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # CSV IO
 

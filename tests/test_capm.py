@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from netval import (
     debt_price_bound,
     effective_rate,
     expected_values,
-    hat_eta,
     market_cap,
     mc_expectations,
     merton_baseline,
@@ -85,18 +85,18 @@ def test_correlation_bounded_by_construction():
     assert np.all(rho <= 1.0 + 1e-12)
 
 
+def _eta_at(z, qT, params):
+    # hat_eta(z, qT) is the eta map of a bank with s q0 = 1
+    return [f(qT) for f in _eta_maps(z, params)]
+
+
 def test_hat_eta_examples():
-    p = bench_params()
-    assert abs(hat_eta(np.array([1.0, 1.0]), 0.37, p)[0] - 0.37) < 1e-15
+    p = bench_params(s=[1.0, 1.0])
+    assert abs(_eta_at([1.0, 1.0], 0.37, p)[0] - 0.37) < 1e-15
     p2 = CapmParams(r=0.05, T=2.0, sigma_M=1.0, beta=[0.0], gamma=[0.0], s=[1.0])
-    assert abs(hat_eta(np.array([0.0]), 5.0, p2)[0] - math.exp(0.1)) < 1e-12
+    assert abs(_eta_at([0.0], 5.0, p2)[0] - math.exp(0.1)) < 1e-12
     p3 = CapmParams(r=0.0, T=1.0, sigma_M=1.0, beta=[0.5], gamma=[0.0], s=[1.0])
-    assert abs(hat_eta(np.array([0.5]), 1.0, p3)[0] - math.exp(0.125)) < 1e-12
-
-
-def test_hat_eta_rejects_nonpositive_qT():
-    with pytest.raises(PricingError):
-        hat_eta(np.array([1.0]), 0.0, bench_params())
+    assert abs(_eta_at([0.5], 1.0, p3)[0] - math.exp(0.125)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_never_defaulting_debt_is_riskless(two_bank):
     disc = math.exp(-0.03)
     price = debt_price_bound(two_bank, params, "lower")
     assert np.allclose(price, disc, atol=1e-12)
-    rate = [effective_rate(float(price[i] * two_bank.p_bar[i]), float(two_bank.p_bar[i]), 1.0) for i in range(2)]
+    rate = effective_rate(price * two_bank.p_bar, two_bank.p_bar, 1.0)
     assert np.allclose(rate, 0.03, atol=1e-12)
     cap = market_cap(two_bank, params, "lower")
     target = disc * (100.0 * math.exp(0.03) + two_bank.interbank_assets() - two_bank.p_bar)
@@ -474,6 +474,31 @@ def test_rate_rejects_negative_price():
         effective_rate(-1.0, 10.0, 1.0)
 
 
+def test_rate_elementwise_matches_scalar_formula():
+    rng = np.random.default_rng(11)
+    p_bar = rng.uniform(0.1, 1e3, 400)
+    price = p_bar * rng.uniform(1e-6, 1.0, 400)
+    T = 1.7
+    got = effective_rate(price, p_bar, T)
+    want = np.array([(math.log(b) - math.log(c)) / T for c, b in zip(price, p_bar)])
+    # numpy's log may round a last bit differently from math.log
+    scale = np.maximum(np.abs(np.log(p_bar)), np.abs(np.log(price))) / T
+    assert got.shape == price.shape
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * scale)
+    assert effective_rate(price[3], p_bar[3], T) == got[3]
+
+    price[[5, 9]] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = effective_rate(price, p_bar, T)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert np.all(np.isinf(got[[5, 9]])) and np.all(np.isfinite(np.delete(got, [5, 9])))
+
+    price[7] = -1e-300
+    with pytest.raises(PricingError, match="nonnegative"):
+        effective_rate(price, p_bar, T)
+
+
 # ---------------------------------------------------------------------------
 # single-firm baselines
 
@@ -483,8 +508,51 @@ def test_merton_modes_coincide_without_interbank():
     params = beta_params(0.6, r=0.02)
     full = debt_price_bound(net, params, "lower")
     for mode in ("riskfree_interbank", "risky_interbank"):
-        base = merton_baseline(net, params, mode)
-        assert np.allclose(base.price, full, atol=1e-12)
+        price, _ = merton_baseline(net, params, mode)
+        assert np.allclose(price, full, atol=1e-12)
+
+
+def _per_bank_baseline(net, params, mode):
+    # each bank alone on a one-bank network, with its own eta map
+    ib = net.interbank_assets()
+    disc = math.exp(-params.r * params.T)
+    pre = np.exp((1.0 - params.sigma / params.sigma_M)
+                 * (params.r + 0.5 * params.sigma * params.sigma_M) * params.T)
+    price, cap = np.empty(net.n), np.empty(net.n)
+    for i in range(net.n):
+        pb = float(net.p_bar[i])
+        one = build_network([[0.0, pb]], net.alpha_x, net.alpha_L)
+        expo = float(params.sigma[i] / params.sigma_M)
+        if mode == "riskfree_interbank":
+            fmap = PowerMap(float(params.s[i] * params.q0 * pre[i]), expo, float(ib[i]))
+        else:
+            fmap = PowerMap(float((params.s[i] * params.q0 + ib[i]) * pre[i]), expo)
+        ev = expected_values(one, FactorModel([fmap], params.factor_dist()))
+        price[i] = disc * float(ev.Ep[0]) / pb
+        cap[i] = disc * float(ev.EE[0])
+    return price, cap
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
+def test_merton_baseline_matches_per_bank_loop(alpha):
+    # one sweep over the standalone network prices every bank as if alone;
+    # with per-bank exponents and costs the sweep's threshold search ends
+    # at another point of its BISECT_REL_TOL bracket
+    rng = np.random.default_rng(int(alpha * 10) + 3)
+    for k in range(12):
+        net = random_net(rng, n=int(rng.integers(2, 10)), alpha=alpha)
+        beta = np.full(net.n, 0.7) if k % 2 else rng.uniform(0.3, 1.2, net.n)
+        params = CapmParams(
+            r=0.03, T=1.5, sigma_M=0.8, beta=beta, gamma=np.full(net.n, 0.3),
+            s=rng.uniform(0.2, 3.0, net.n),
+        )
+        exact = alpha == 1.0 or k % 2
+        tol = 1e-14 if exact else 10 * comonotonic.BISECT_REL_TOL
+        for mode in ("riskfree_interbank", "risky_interbank"):
+            price, cap = merton_baseline(net, params, mode)
+            ref_price, ref_cap = _per_bank_baseline(net, params, mode)
+            assert np.all(np.abs(price - ref_price) <= tol), (k, mode)
+            assert np.all(np.abs(cap - ref_cap) <= tol * net.p_bar.max()), (k, mode)
 
 
 def test_merton_black_scholes_cross_oracle(two_bank):
@@ -494,27 +562,28 @@ def test_merton_black_scholes_cross_oracle(two_bank):
     ib = two_bank.interbank_assets()
     disc = math.exp(-params.r * params.T)
 
-    mode_a = merton_baseline(two_bank, params, "riskfree_interbank")
+    price_a, _ = merton_baseline(two_bank, params, "riskfree_interbank")
     for i in range(2):
         K = float(two_bank.p_bar[i] - ib[i])
         put = black_scholes_put(float(params.s[i]), K, params.r, params.T, float(params.sigma[i]))
         target = disc * float(two_bank.p_bar[i]) - put
-        assert abs(mode_a.price[i] * two_bank.p_bar[i] - target) < 1e-10
+        assert abs(price_a[i] * two_bank.p_bar[i] - target) < 1e-10
 
-    mode_b = merton_baseline(two_bank, params, "risky_interbank")
+    price_b, _ = merton_baseline(two_bank, params, "risky_interbank")
     for i in range(2):
         S0 = float(params.s[i] + ib[i])
         put = black_scholes_put(S0, float(two_bank.p_bar[i]), params.r, params.T, float(params.sigma[i]))
         target = disc * float(two_bank.p_bar[i]) - put
-        assert abs(mode_b.price[i] * two_bank.p_bar[i] - target) < 1e-10
+        assert abs(price_b[i] * two_bank.p_bar[i] - target) < 1e-10
 
 
 def test_merton_riskless_branch(two_bank):
     # bank 2's interbank claim (7) exceeds its face value (6): riskless debt
     params = bench_params(r=0.04)
-    base = merton_baseline(two_bank, params, "riskfree_interbank")
-    assert abs(base.price[1] - math.exp(-0.04)) < 1e-12
-    assert abs(base.rate[1] - 0.04) < 1e-12
+    price, _ = merton_baseline(two_bank, params, "riskfree_interbank")
+    rate = effective_rate(price * two_bank.p_bar, two_bank.p_bar, params.T)
+    assert abs(price[1] - math.exp(-0.04)) < 1e-12
+    assert abs(rate[1] - 0.04) < 1e-12
 
 
 def test_unknown_baseline_mode(two_bank):
@@ -540,9 +609,7 @@ def test_recovery_monotonicity():
     for a in (0.4, 0.6, 0.8, 1.0):
         net = make_two_bank(a)
         price = debt_price_bound(net, params, "lower", force=True)
-        rates.append(
-            [effective_rate(float(price[i] * net.p_bar[i]), float(net.p_bar[i]), 1.0) for i in range(2)]
-        )
+        rates.append(effective_rate(price * net.p_bar, net.p_bar, 1.0))
         caps.append(market_cap(net, params, "lower", force=True))
     rates, caps = np.array(rates), np.array(caps)
     assert np.all(np.diff(rates, axis=0) <= 1e-12)

@@ -543,6 +543,32 @@ def test_statics_grid_outside_the_domain(two_bank_csv, beta1_params, capsys, swe
     assert _error(capsys) == {"type": "domain", "message": message}
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_negative_offset_exits_5(tmp_path, two_bank_csv, bench_model, capsys, command):
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({"kind": "comonotonic-factor",
+                                    "model": json.loads(open(bench_model).read())}))
+    inputs = [str(scenario)] if command == "simulate" else [two_bank_csv, str(scenario)]
+    assert cli.main([command, *inputs, "--paths", "2", "--offset", "-5"]) == 5
+    assert _error(capsys) == {"type": "domain",
+                              "message": "path_offset must be nonnegative, got -5"}
+
+
+@pytest.mark.parametrize("flag, value, code, message", [
+    ("--alpha-x", "nan", 4, "--alpha-x: expected finite numbers, got 'nan'"),
+    ("--alpha-L", "inf", 4, "--alpha-L: expected finite numbers, got 'inf'"),
+    ("--density", "nan", 4, "--density: expected finite numbers, got 'nan'"),
+    ("--density", "2", 5, "mask density must lie in [0, 1], got 2.0"),
+    ("--density", "-1", 5, "mask density must lie in [0, 1], got -1.0"),
+], ids=["alpha-x-nan", "alpha-L-inf", "density-nan", "density-2", "density-negative"])
+def test_calibrate_flags_follow_the_number_rule(tmp_path, capsys, flag, value, code, message):
+    sheets = tmp_path / "sheets.csv"
+    sheets.write_text(GOLDEN_SHEETS)
+    assert cli.main(["calibrate", str(sheets), flag, value]) == code
+    kind = "schema" if code == 4 else "domain"
+    assert _error(capsys) == {"type": kind, "message": message}
+
+
 def test_price_rejects_params_for_another_bank_count(tmp_path, two_bank_csv, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"r": 0.0, "T": 1.0, "sigma_M": 1.0, "beta": [1.0] * 3,
@@ -926,7 +952,7 @@ GOLDEN_CALLS = [
     ),
     pytest.param(
         "price {dir}/net.csv {dir}/params.json --which both --baseline risky",
-        "431ab3e3006aa82e99eabe681d4463e8a7e14dc01b52559fce6f4f947218ac2a",
+        "7b0eaf8e46d825866c870ffcd92805682ecbe54881f01a50f845828f82b33987",
         id="price-both-risky",
     ),
     pytest.param(

@@ -254,6 +254,12 @@ def test_empty_batch_rejected():
         simulate(factor_spec(), 0, 0)
 
 
+def test_negative_path_offset_rejected():
+    # a negative offset would run the counter backwards, to rows no run from 0 holds
+    with pytest.raises(OracleError, match="path_offset must be nonnegative, got -5"):
+        simulate(factor_spec(), 2, 0, path_offset=-5)
+
+
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
 def test_finite_support_rejects_bad_atoms(bad):
     spec = {"kind": "finite-support", "atoms": [[bad, 2.0], [3.0, 4.0]], "probs": [0.5, 0.5]}
